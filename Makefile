@@ -8,15 +8,20 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own (it must also build against older
+# checkouts), so ./... skips it; vet and test it explicitly so its use
+# of the router's API is compiled on every run.
 test:
 	$(GO) test ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 race:
 	$(GO) test -race ./internal/...
 
 # lint runs the standard vet suite, then the repo's own analyzers
 # (maporder, checkedverify, pointkey, staticdrc, shadowbuiltin,
-# nondeterm, specwrite, hotalloc) twice: through the vettool protocol
+# nondeterm, hotalloc) twice: through the vettool protocol
 # (facts flow via .vetx files) and standalone over the internal and
 # cmd trees (facts flow via go list dependency order) — the standalone
 # pass is what CI's lint job runs with -github annotations.

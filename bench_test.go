@@ -227,30 +227,21 @@ func BenchmarkLevelBScalingNets(b *testing.B) {
 	}
 }
 
-// BenchmarkLevelBParallel measures the speculate/validate/commit first
-// pass against the serial router on the largest scaling workload. The
-// routed result is identical at every worker count (the determinism
-// invariant, see DESIGN.md section 13); only the wall clock may differ.
-// On a single-CPU host the parallel path is pure overhead — snapshot
-// clones with no concurrent speculation to pay for them — so compare
-// worker counts only on hosts where GOMAXPROCS allows real overlap.
-func BenchmarkLevelBParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			expanded := 0
-			for i := 0; i < b.N; i++ {
-				g, nl := scalingNetlist(96, 100, 13)
-				cfg := core.DefaultConfig()
-				cfg.Workers = w
-				res, err := core.New(g, cfg).Route(nl.Nets())
-				if err != nil {
-					b.Fatal(err)
-				}
-				expanded = res.Expanded
-			}
-			b.ReportMetric(float64(expanded), "nodes-expanded")
-		})
+// BenchmarkLevelB measures the level B router alone on the largest
+// scaling workload (96x96 grid, 100 nets), reporting allocations: the
+// benchmark behind the levelb/nets100/seq allocation gate.
+func BenchmarkLevelB(b *testing.B) {
+	b.ReportAllocs()
+	expanded := 0
+	for i := 0; i < b.N; i++ {
+		g, nl := scalingNetlist(96, 100, 13)
+		res, err := core.New(g, core.DefaultConfig()).Route(nl.Nets())
+		if err != nil {
+			b.Fatal(err)
+		}
+		expanded = res.Expanded
 	}
+	b.ReportMetric(float64(expanded), "nodes-expanded")
 }
 
 // BenchmarkMazeVsTIG reproduces the section 3 claim that the TIG

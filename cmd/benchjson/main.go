@@ -21,9 +21,8 @@
 // -deadline and -budget bound each workload run (a safety rail when
 // benchmarking hostile or oversized instances); a tripped budget fails
 // the workload rather than silently snapshotting a partial route.
-// -workers sizes the parallel half of the levelb sequential/parallel
-// pair, and -only restricts the run to workloads whose name contains
-// the given substring (e.g. -only levelb/ for just that pair).
+// -only restricts the run to workloads whose name contains the given
+// substring (e.g. -only levelb/ for just the level B row).
 package main
 
 import (
@@ -59,9 +58,6 @@ import (
 // workload. Zero means unbounded, matching pre-flag behaviour.
 var guard robust.Limits
 
-// workersFlag sizes the parallel entry of the levelb pair.
-var workersFlag int
-
 func main() {
 	tag := flag.String("tag", "dev", "snapshot tag (becomes BENCH_<tag>.json)")
 	out := flag.String("o", "", "output file (default BENCH_<tag>.json)")
@@ -69,7 +65,6 @@ func main() {
 	only := flag.String("only", "", "run only workloads whose name contains this substring")
 	flag.DurationVar(&guard.Timeout, "deadline", 0, "wall-clock budget per workload run (0 = none)")
 	flag.Int64Var(&guard.NetExpansions, "budget", 0, "search-expansion budget per net (0 = unlimited)")
-	flag.IntVar(&workersFlag, "workers", 4, "worker count for the parallel levelb workload")
 	flag.Parse()
 	if *runs < 1 {
 		*runs = 1
@@ -241,17 +236,9 @@ func workloads() []workload {
 		}
 		return map[string]float64{"expanded": float64(res.LevelB.Expanded)}, nil, nil
 	}})
-	// The parallelism pair: the identical dense level B instance routed
-	// serially and with the speculate/validate/commit driver. The two
-	// entries' ns/op ratio is the headline parallel speedup; their
-	// result metrics (expanded/wire/failed) must match exactly — the
-	// parallel driver is deterministic by construction.
-	ws = append(ws, workload{"levelb/nets100/seq", func() (map[string]float64, []obs.BenchPhase, error) {
-		return levelB(1)
-	}})
-	ws = append(ws, workload{fmt.Sprintf("levelb/nets100/par%d", workersFlag), func() (map[string]float64, []obs.BenchPhase, error) {
-		return levelB(workersFlag)
-	}})
+	// The level B router alone on a dense instance: the row the
+	// allocation gate watches for the router's hot path.
+	ws = append(ws, workload{"levelb/nets100/seq", levelB})
 	// The durability pair: the identical burst of accepted-and-waited
 	// runs through an in-process ocserved with the lifecycle journal
 	// off and on (SyncAlways, the production default). The ns/op delta
@@ -340,10 +327,9 @@ func serveRuns(dir string, streamCap int) (map[string]float64, []obs.BenchPhase,
 
 // levelB routes a dense synthetic instance (96x96 grid, 100
 // two-terminal nets, deterministic LCG placement) straight through
-// internal/core with the given worker count. A perf collector rides
-// along: the parallel entry's Phases carry the speculate/commit
-// allocation split that EXPERIMENTS.md's par-vs-seq attribution cites.
-func levelB(workers int) (map[string]float64, []obs.BenchPhase, error) {
+// internal/core. A perf collector brackets the route, so the entry's
+// Phases carry the run's wall time and allocations.
+func levelB() (map[string]float64, []obs.BenchPhase, error) {
 	g, err := grid.Uniform(96, 96, 10)
 	if err != nil {
 		return nil, nil, err
@@ -369,15 +355,11 @@ func levelB(workers int) (map[string]float64, []obs.BenchPhase, error) {
 		nl.AddPoints(fmt.Sprintf("n%d", i), netlist.Signal, pick(), pick())
 	}
 	cfg := core.DefaultConfig()
-	cfg.Workers = workers
 	if !guard.Zero() {
 		cfg.Budget = robust.NewBudget(nil, guard)
 	}
-	pc := perf.New(perf.Options{Run: fmt.Sprintf("levelb/nets100/w%d", workers)})
-	pc.SetWorkers(workers)
+	pc := perf.New(perf.Options{Run: "levelb/nets100/seq"})
 	pc.Start()
-	cfg.Perf = pc
-	cfg.Clock = pc.Clock()
 	res, err := core.New(g, cfg).Route(nl.Nets())
 	if err != nil {
 		return nil, nil, err

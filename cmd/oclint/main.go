@@ -1,10 +1,10 @@
 // Command oclint is the router's vettool: it bundles the
 // internal/analysis suite (maporder, checkedverify, pointkey,
-// staticdrc, shadowbuiltin, nondeterm, specwrite, hotalloc) into a
+// staticdrc, shadowbuiltin, nondeterm, hotalloc) into a
 // single binary speaking the `go vet` separate-compilation protocol,
 // and doubles as a standalone checker.
 //
-// The fact-propagating analyzers (nondeterm, specwrite, hotalloc)
+// The fact-propagating analyzers (nondeterm, hotalloc)
 // attach properties to functions and follow them across package
 // boundaries. In standalone mode packages are analyzed in dependency
 // order over one shared fact store; in vet mode facts travel between

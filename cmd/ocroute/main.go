@@ -16,10 +16,9 @@
 // per-window congestion map of the level B grid (SVG when the file
 // ends in .svg, ASCII otherwise), and -cpuprofile/-memprofile write
 // standard pprof profiles. -perf-report writes the performance
-// attribution report (per-phase allocation deltas, speculation
-// pipeline wait times, conflict pairs) as JSON and prints the human
-// table; profiles captured alongside it carry pprof labels (run,
-// phase, worker, net).
+// attribution report (per-phase wall time and allocation deltas) as
+// JSON and prints the human table; profiles captured alongside it
+// carry pprof labels (run, phase).
 //
 // Robustness: -deadline bounds the run's wall clock, -budget and
 // -total-budget cap search expansions per net and per run, and
@@ -69,7 +68,6 @@ func run() int {
 	budget := flag.Int64("budget", 0, "search-expansion budget per net (0 = unlimited)")
 	totalBudget := flag.Int64("total-budget", 0, "search-expansion budget for the whole run (0 = unlimited)")
 	partial := flag.Bool("partial", false, "accept runs where some nets degraded under the budget instead of failing")
-	workers := flag.Int("workers", 0, "level B speculative routing workers (0 = GOMAXPROCS, 1 = serial; results identical)")
 	perfReport := flag.String("perf-report", "", "write the perf-attribution report as JSON to this file and print the summary table (- for table only)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
@@ -119,7 +117,6 @@ func run() int {
 			Timeout:         *deadline,
 		},
 		AllowPartial: *partial,
-		Workers:      *workers,
 	}
 	var pc *perf.Collector
 	if *perfReport != "" {
@@ -128,7 +125,7 @@ func run() int {
 		opts.RunID = inst.Name
 	}
 	// Label the run whenever a profile or a perf report is requested, so
-	// captured samples attribute per phase and worker.
+	// captured samples attribute per phase.
 	opts.ProfileLabels = *perfReport != "" || *cpuprofile != "" || *memprofile != ""
 
 	if *cpuprofile != "" {

@@ -91,7 +91,6 @@ func main() {
 	maxRuns := flag.Int("max-runs", 2, "maximum concurrently routing jobs")
 	maxPending := flag.Int("max-pending", 16, "queued runs beyond which submissions get 503")
 	keepRuns := flag.Int("keep-runs", 64, "finished runs retained for /runs")
-	workers := flag.Int("workers", 0, "default level B routing workers per run, overridable per job with ?workers= (0 = GOMAXPROCS)")
 	journalDir := flag.String("journal", "", "directory for the run-lifecycle journal (empty = no durability)")
 	journalSync := flag.String("journal-fsync", "always", "journal fsync policy: always (power-loss durable) or never (process-crash durable, cheaper)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight runs get to finish after the first SIGTERM before being checkpointed for requeue")
@@ -117,7 +116,7 @@ func main() {
 	defer cancel()
 	cfg := serve.Config{
 		MaxRuns: *maxRuns, MaxPending: *maxPending, KeepRuns: *keepRuns,
-		BaseCtx: ctx, Workers: *workers,
+		BaseCtx:   ctx,
 		Retry:     robust.Policy{MaxAttempts: *retries, BaseDelay: *retryBase, Cap: 10 * time.Second},
 		StreamCap: *streamCap, Version: version.String(), Logger: logger,
 	}

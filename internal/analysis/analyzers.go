@@ -1,20 +1,18 @@
-// Package analysis is the router's custom lint suite: eight analyzers
+// Package analysis is the router's custom lint suite: seven analyzers
 // that statically enforce the properties the level B router's results
 // depend on — deterministic routing decisions, checked design-rule
 // verification, sound geometry keys and arithmetic, statically valid
 // router configurations, no shadowing of predeclared builtins, no
-// nondeterminism sources reachable from routing code, no shared-state
-// writes escaping the speculate/validate/commit protocol, and
-// allocation discipline on //oc:hotpath functions. cmd/oclint wires
+// nondeterminism sources reachable from routing code, and allocation
+// discipline on //oc:hotpath functions. cmd/oclint wires
 // them into a vettool runnable as
 // `go vet -vettool=$(which oclint) ./...`.
 //
-// The last three analyzers propagate framework facts across function
+// The last two analyzers propagate framework facts across function
 // and package boundaries (see facts.go and DESIGN.md section 14), so
 // a property like "calling this helper reads the wall clock" or
-// "calling this method writes routing state reachable from its
-// receiver" follows the call graph instead of stopping at the package
-// edge.
+// "calling this helper allocates" follows the call graph instead of
+// stopping at the package edge.
 //
 // The suite encodes the "catch it before you route" discipline of the
 // early-routability literature at the source level: the TIG/MBFS
@@ -44,7 +42,6 @@ func All() []*framework.Analyzer {
 		StaticDRC,
 		ShadowBuiltin,
 		NonDeterm,
-		SpecWrite,
 		HotAlloc,
 	}
 }
@@ -88,7 +85,7 @@ func inModule(pkgPath, name string) bool {
 
 // corpus splits a corpus package path into the analyzer it is bound to
 // and whether it is the corpus root. Subpackages below the root (for
-// example testdata/src/specwrite/inner) model "some other package of
+// example testdata/src/nondeterm/helper) model "some other package of
 // the module": fact computation sees them, diagnostic scope does not —
 // which is exactly how cross-package fact propagation is exercised.
 func corpus(pkgPath string) (name string, root bool, ok bool) {

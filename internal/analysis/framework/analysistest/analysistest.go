@@ -7,6 +7,12 @@
 //
 //	m[k] = v // want `iteration order`
 //
+// A block comment works too, which lets an expectation share its line
+// with a trailing // comment that is itself the subject of a
+// diagnostic:
+//
+//	var _ = 0 /* want `unknown directive` */ //oc:hotpth
+//
 // The backquoted (or double-quoted) strings are regular expressions;
 // every expectation must be matched by a diagnostic on that line and
 // every diagnostic must be matched by an expectation.
@@ -113,7 +119,12 @@ func consume(exps []*expectation, msg string) bool {
 // applies to the comment's own line.
 func collectWants(t *testing.T, fset *token.FileSet, c *ast.Comment, wants map[string][]*expectation) {
 	t.Helper()
-	text := strings.TrimPrefix(c.Text, "//")
+	text, ok := strings.CutPrefix(c.Text, "/*")
+	if ok {
+		text = strings.TrimSuffix(text, "*/")
+	} else {
+		text = strings.TrimPrefix(c.Text, "//")
+	}
 	text = strings.TrimSpace(text)
 	if !strings.HasPrefix(text, "want ") {
 		return

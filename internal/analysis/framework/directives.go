@@ -13,10 +13,6 @@ import (
 //	//oc:hotpath    — the function is on the routing hot path; the
 //	                  hotalloc analyzer holds it to allocation
 //	                  discipline.
-//	//oc:workersafe — the function has been audited as safe to reach
-//	                  from a speculative worker (internally
-//	                  synchronized, or mutating only state the caller
-//	                  isolates); specwrite stops reporting through it.
 //	//oc:clock-ok   — the wall-clock read on this line (or anywhere in
 //	                  the annotated function) is intentional: an
 //	                  injectable-clock default, ops metadata, or
@@ -57,7 +53,7 @@ type UnknownDirective struct {
 // KnownDirectives is the directive vocabulary. Analyzers consult
 // directives by these names; CollectDirectives records anything else
 // as unknown.
-var KnownDirectives = []string{"hotpath", "workersafe", "clock-ok"}
+var KnownDirectives = []string{"hotpath", "clock-ok"}
 
 // CollectDirectives scans the files for //oc: directives.
 func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {

@@ -21,10 +21,8 @@ func parse(t *testing.T, src string) (*token.FileSet, *Directives) {
 
 // TestUnknownDirectives pins the vocabulary check: a misspelled
 // directive must surface through Unknown() rather than silently
-// failing to suppress anything. (Corpus tests cannot cover this: a
-// `// want` comment cannot share a line with a //oc: comment, so the
-// unknown-directive diagnostic is exercised here at the framework
-// layer.)
+// failing to suppress anything. The nondeterm corpus covers the
+// analyzer-level diagnostic.
 func TestUnknownDirectives(t *testing.T) {
 	_, d := parse(t, `package p
 
@@ -53,7 +51,7 @@ func TestDirectiveLookups(t *testing.T) {
 
 import "time"
 
-//oc:workersafe audited
+//oc:hotpath audited
 func f() {
 	_ = time.Now() //oc:clock-ok test fixture
 }
@@ -69,8 +67,8 @@ func f() {
 	if fn == nil {
 		t.Fatal("no function directives collected")
 	}
-	if !d.Func(fn, "workersafe") {
-		t.Error("Func(f, workersafe) = false, want true")
+	if !d.Func(fn, "hotpath") {
+		t.Error("Func(f, hotpath) = false, want true")
 	}
 	if d.Func(fn, "clock-ok") {
 		t.Error("Func(f, clock-ok) = true; line directives must not leak to the function")
@@ -89,14 +87,14 @@ func f() {
 	if !d.At(linePos, "clock-ok") {
 		t.Error("At(line, clock-ok) = false, want true")
 	}
-	if d.At(linePos, "workersafe") {
-		t.Error("At(line, workersafe) = true, want false")
+	if d.At(linePos, "hotpath") {
+		t.Error("At(line, hotpath) = true, want false")
 	}
-	if !d.FuncOrAt(fn, linePos, "clock-ok") || !d.FuncOrAt(fn, linePos, "workersafe") {
+	if !d.FuncOrAt(fn, linePos, "clock-ok") || !d.FuncOrAt(fn, linePos, "hotpath") {
 		t.Error("FuncOrAt must see both the line and the function directive")
 	}
-	if d.FuncOrAt(fn, linePos, "hotpath") {
-		t.Error("FuncOrAt(hotpath) = true, want false")
+	if d.FuncOrAt(nil, linePos, "hotpath") {
+		t.Error("FuncOrAt(no function, hotpath) = true, want false")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"overcell/internal/analysis/framework"
 )
@@ -69,7 +70,7 @@ func runNonDeterm(pass *framework.Pass) error {
 	inReport := reportScope(path, "nondeterm", nondetermScope, true)
 
 	for _, u := range dirs.Unknown() {
-		pass.Reportf(u.Pos, "unknown directive //oc:%s (known: hotpath, workersafe, clock-ok)", u.Name)
+		pass.Reportf(u.Pos, "unknown directive //oc:%s (known: %s)", u.Name, strings.Join(framework.KnownDirectives, ", "))
 	}
 
 	if inReport {

@@ -3,20 +3,16 @@ package core
 import "overcell/internal/grid"
 
 // CommitObserver receives a notification each time one net's metal
-// lands on the live routing grid: the serial first pass, a committed
-// speculation, a conflict re-route, and every rip-up retry all count;
-// speculative attempts against snapshot grids do not. Calls arrive in
-// the live grid's mutation order, which is the serial routing order
-// regardless of Config.Workers — the parallel committer walks batches
-// in serial order and recovery is serial by construction — so a
-// deterministic observer sees a byte-identical call sequence at every
-// worker count. rank is the net's 1-based position in the serial
-// routing order (rip-up retries repeat the original rank), failed
-// marks attempts whose net could not complete (their partial tree is
-// still committed). The grid is the live grid after the commit; the
-// observer must not mutate it and must not retain it past the call.
+// lands on the routing grid: every first-pass net and every rip-up
+// retry counts. Calls arrive in the grid's mutation order, so a
+// deterministic observer sees a deterministic call sequence. rank is
+// the net's 1-based position in the routing order (rip-up retries
+// repeat the original rank), failed marks attempts whose net could not
+// complete (their partial tree is still committed). The grid is the
+// grid after the commit; the observer must not mutate it and must not
+// retain it past the call.
 //
-// Every call comes from the one goroutine that owns the live grid, so
+// Every call comes from the goroutine running Route, so
 // implementations need no locking against the router — only against
 // their own concurrent readers. The obs/congest Series is the
 // canonical implementation; a nil Config.Congest disables the hook

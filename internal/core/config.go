@@ -16,10 +16,6 @@
 package core
 
 import (
-	"context"
-	"runtime"
-	"time"
-
 	"overcell/internal/netlist"
 	"overcell/internal/obs"
 	"overcell/internal/robust"
@@ -135,36 +131,10 @@ type Config struct {
 	// exhaustion, deadline expiry and cancellation stop the run with a
 	// partial Result. Nil means unbounded.
 	Budget *robust.Budget
-	// Workers sets the speculative worker count for the level B first
-	// pass: batches of up to Workers pending nets route concurrently
-	// against read-only grid snapshots, and a single committer validates
-	// the speculative paths in the original serial order, re-running any
-	// net whose congestion window an earlier commit in the batch
-	// touched. Parallelism never changes the result — paths, costs,
-	// rip-up decisions and trace payloads are identical for every value
-	// (see DESIGN.md section 13). 0 means GOMAXPROCS; 1 or negative
-	// routes serially.
-	Workers int
-	// Perf receives the speculate/validate/commit pipeline's wait-time
-	// accounting (see PerfObserver). Nil disables the hooks; the serial
-	// path never touches them.
-	Perf PerfObserver
-	// Congest is notified after each net commit mutates the live grid
-	// (see CommitObserver); congestion time-series samplers hang off it.
-	// Nil disables the hook. Speculative attempts on snapshot grids
-	// never reach it, so the call sequence is identical at every worker
-	// count.
+	// Congest is notified after each net commit mutates the grid (see
+	// CommitObserver); congestion time-series samplers hang off it. Nil
+	// disables the hook.
 	Congest CommitObserver
-	// Clock timestamps speculation starts and ends for Perf. It must be
-	// safe for concurrent use (each worker reads it). Nil means the wall
-	// clock; callers wiring a Perf collector should pass its Clock() so
-	// dwell times are measured on one timeline.
-	Clock func() time.Time
-	// LabelCtx, when non-nil, carries pprof labels (run, phase) that the
-	// speculative workers extend with worker and net labels, making CPU
-	// and heap profiles attributable per worker (see DESIGN.md section
-	// 15). Nil spawns workers without profiler labels.
-	LabelCtx context.Context
 }
 
 // Rip-up recovery defaults.
@@ -190,27 +160,12 @@ func (c *Config) ripupVictims() int {
 	return c.RipupVictims
 }
 
-func (c *Config) workers() int {
-	if c.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
-}
-
-// EffectiveWorkers resolves the Workers knob the way the router will:
-// 0 becomes GOMAXPROCS, negatives become 1. Exposed so callers (flow,
-// the perf collector) can report the count that actually ran.
-func (c *Config) EffectiveWorkers() int { return c.workers() }
-
-func (c *Config) clock() func() time.Time {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return time.Now //oc:clock-ok injectable default; perf callers pass their collector's clock
-}
+// EffectiveWorkers returns 1: level B routes one net at a time.
+//
+// Deprecated: the router has no worker pool. EffectiveWorkers exists
+// only so that the benchmark under bench/, which also measures older
+// checkouts, keeps compiling.
+func (c *Config) EffectiveWorkers() int { return 1 }
 
 // DefaultExpansions widen the window gently before falling back to the
 // whole grid.

@@ -1,12 +1,27 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
 	"overcell/internal/netlist"
+	"overcell/internal/obs"
+	"overcell/internal/robust"
+	"overcell/internal/tig"
 )
+
+// eventLog records every trace event in emission order.
+type eventLog struct {
+	events []obs.Event
+}
+
+func (l *eventLog) Enabled() bool    { return true }
+func (l *eventLog) Emit(e obs.Event) { l.events = append(l.events, e) }
 
 // ripupScenario builds a deterministic conflict: only vertical tracks
 // 3 and 5 are usable; net A (routed first, length-only cost, tie
@@ -159,5 +174,219 @@ func TestRipupLeavesGridConsistent(t *testing.T) {
 	}
 	if crossings > 2 {
 		t.Errorf("column 3 has %d LayerH blockings; expected at most A's two crossings", crossings)
+	}
+}
+
+// ripupConflictInstance is the ripupScenario geometry (columns 3 and 5
+// usable, net A takes B's only column) on a grid widened to nx
+// columns, with a far-away net C outside any rip-up window.
+func ripupConflictInstance(t *testing.T, nx int) (*grid.Grid, *netlist.Netlist) {
+	t.Helper()
+	g := newGrid(t, nx, 7, 10)
+	for _, col := range []int{1, 2, 4} {
+		g.BlockV(col, geom.Iv(0, 6))
+	}
+	g.BlockV(0, geom.Iv(0, 0))
+	g.BlockV(0, geom.Iv(2, 6))
+	g.BlockV(6, geom.Iv(0, 4))
+	g.BlockV(6, geom.Iv(6, 6))
+	g.BlockH(0, geom.Iv(4, 6))
+	g.BlockH(6, geom.Iv(4, 6))
+	g.BlockH(6, geom.Iv(0, 2))
+	nl := netlist.New()
+	nl.AddPoints("A", netlist.Signal, geom.Pt(0, 10), geom.Pt(60, 50))
+	nl.AddPoints("B", netlist.Signal, geom.Pt(30, 0), geom.Pt(30, 60))
+	nl.AddPoints("C", netlist.Signal, geom.Pt(160, 0), geom.Pt(160, 60))
+	return g, nl
+}
+
+// TestRipupPreservesRanks is the regression test for the rank-zero
+// retry bug: every EvNetStart of a rip-up re-route must carry the
+// net's original 1-based rank, and a net must never change rank across
+// its attempts.
+func TestRipupPreservesRanks(t *testing.T) {
+	g, nl := ripupConflictInstance(t, 20)
+	rec := &eventLog{}
+	cfg := DefaultConfig()
+	cfg.Weights = LengthOnlyWeights()
+	cfg.Order = InputOrder
+	cfg.Tracer = rec
+	res, err := New(g, cfg).Route(nl.Nets())
+	if err != nil || res.Failed != 0 {
+		t.Fatalf("route: %v / %d failed", err, res.Failed)
+	}
+	wantRank := map[string]int{"A": 1, "B": 2, "C": 3}
+	starts := map[string][]int{}
+	for _, e := range rec.events {
+		if e.Type != obs.EvNetStart {
+			continue
+		}
+		if e.Rank < 1 {
+			t.Errorf("net %q emitted net_start with rank %d; ranks are 1-based even on retries", e.Net, e.Rank)
+		}
+		starts[e.Net] = append(starts[e.Net], e.Rank)
+	}
+	retried := 0
+	for name, ranks := range starts {
+		if len(ranks) > 1 {
+			retried++
+		}
+		for _, rk := range ranks {
+			if rk != wantRank[name] {
+				t.Errorf("net %q attempt ranked %d, want original rank %d", name, rk, wantRank[name])
+			}
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no net was re-routed — the scenario no longer exercises rip-up")
+	}
+}
+
+// TestBudgetTripDuringRecovery pins the mid-recovery budget-trip
+// contract: a total-expansion budget that gives out between rip-up
+// attempts surfaces the sticky error, and nets outside the recovery
+// windows keep the routes the first pass gave them.
+func TestBudgetTripDuringRecovery(t *testing.T) {
+	route := func(ripupPasses int, total int64) (*Result, error) {
+		g, nl := ripupConflictInstance(t, 20)
+		cfg := DefaultConfig()
+		cfg.Weights = LengthOnlyWeights()
+		cfg.Order = InputOrder
+		cfg.RipupPasses = ripupPasses
+		if total > 0 {
+			cfg.Budget = robust.NewBudget(context.Background(), robust.Limits{TotalExpansions: total})
+		}
+		return New(g, cfg).Route(nl.Nets())
+	}
+
+	firstPass, err := route(-1, 0) // recovery disabled: first-pass work only
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := route(0, 0) // default passes, unbounded
+	if err != nil || full.Failed != 0 {
+		t.Fatalf("unbounded run: %v / %d failed", err, full.Failed)
+	}
+	e1, e2 := int64(firstPass.Expanded), int64(full.Expanded)
+	if e2 < e1+2 {
+		t.Fatalf("recovery only cost %d expansions beyond the first pass (%d -> %d); cannot trip mid-recovery", e2-e1, e1, e2)
+	}
+	mid := e1 + (e2-e1)/2 // trips after the first pass, before recovery finishes
+
+	var cSegments []Segment
+	for _, nr := range firstPass.Routes {
+		if nr.Net.Name == "C" {
+			cSegments = nr.Segments
+		}
+	}
+	if len(cSegments) == 0 {
+		t.Fatal("net C did not route in the first pass — scenario broken")
+	}
+
+	res, err := route(0, mid)
+	if !errors.Is(err, robust.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
+	}
+	if res == nil {
+		t.Fatal("sticky trip must still return the partial result")
+	}
+	for _, nr := range res.Routes {
+		if nr.Net.Name != "C" {
+			continue
+		}
+		if nr.Err != nil {
+			t.Fatalf("untouched net C lost its route: %v", nr.Err)
+		}
+		if !reflect.DeepEqual(nr.Segments, cSegments) {
+			t.Fatalf("untouched net C's geometry changed: %v vs %v", nr.Segments, cSegments)
+		}
+	}
+}
+
+// snapshotRoute deep-copies the externally visible slices of a
+// NetRoute, so a later routing run recycling pooled scratch would
+// diverge from the snapshot if any of them aliased that scratch.
+func snapshotRoute(nr *NetRoute) *NetRoute {
+	cpPts := func(s []tig.Point) []tig.Point {
+		if s == nil {
+			return nil
+		}
+		out := make([]tig.Point, len(s))
+		copy(out, s)
+		return out
+	}
+	cp := *nr
+	cp.Terminals = cpPts(nr.Terminals)
+	cp.Vias = cpPts(nr.Vias)
+	if nr.Segments != nil {
+		cp.Segments = make([]Segment, len(nr.Segments))
+		copy(cp.Segments, nr.Segments)
+	}
+	return &cp
+}
+
+// TestStickyTripScratchReuse is the escape-audit regression for pooled
+// scratch: a run whose budget trips sticky mid-rip-up returns a partial
+// Result; routing more nets through the same Router and grid afterwards
+// must not mutate a single byte of that earlier Result, so none of its
+// slices may alias search or maze scratch.
+func TestStickyTripScratchReuse(t *testing.T) {
+	baseCfg := func() Config {
+		cfg := DefaultConfig()
+		cfg.Weights = LengthOnlyWeights()
+		cfg.Order = InputOrder
+		return cfg
+	}
+	measure := func(ripupPasses int) int64 {
+		g, nl := ripupConflictInstance(t, 30)
+		cfg := baseCfg()
+		cfg.RipupPasses = ripupPasses
+		res, err := New(g, cfg).Route(nl.Nets())
+		if err != nil {
+			t.Fatalf("measuring run: %v", err)
+		}
+		return int64(res.Expanded)
+	}
+	e1 := measure(-1) // first pass only
+	e2 := measure(0)  // with recovery
+	if e2 < e1+2 {
+		t.Fatalf("recovery cost only %d expansions; cannot trip mid-rip-up", e2-e1)
+	}
+
+	g, nl := ripupConflictInstance(t, 30)
+	cfg := baseCfg()
+	cfg.Budget = robust.NewBudget(context.Background(), robust.Limits{TotalExpansions: e1 + (e2-e1)/2})
+	r := New(g, cfg)
+	res, err := r.Route(nl.Nets())
+	if !errors.Is(err, robust.ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
+	}
+	snaps := make([]*NetRoute, len(res.Routes))
+	for i, nr := range res.Routes {
+		snaps[i] = snapshotRoute(nr)
+	}
+
+	// Churn the pooled scratch: drop the sticky budget (white-box: Config
+	// is immutable to callers) and route a second netlist through the
+	// same Router in the grid's untouched right half.
+	r.cfg.Budget = nil
+	churn := netlist.New()
+	for i := 0; i < 8; i++ {
+		churn.AddPoints(fmt.Sprintf("churn%d", i), netlist.Signal,
+			geom.Pt(10*(20+i), 0), geom.Pt(10*(21+i), 60))
+	}
+	if _, err := r.Route(churn.Nets()); err != nil {
+		t.Fatalf("churn run: %v", err)
+	}
+
+	for i, nr := range res.Routes {
+		want := snaps[i]
+		if !reflect.DeepEqual(nr.Terminals, want.Terminals) ||
+			!reflect.DeepEqual(nr.Segments, want.Segments) ||
+			!reflect.DeepEqual(nr.Vias, want.Vias) ||
+			nr.WireLength != want.WireLength || nr.Corners != want.Corners ||
+			nr.Expanded != want.Expanded {
+			t.Errorf("net %q's returned route changed after later runs recycled the router's scratch", nr.Net.Name)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
@@ -64,41 +63,21 @@ type Result struct {
 
 // Router routes level B nets on a shared grid. The grid may already
 // contain obstacles (from grid.BlockRect) and previously committed
-// routing; a Router does not take ownership of it. With Config.Workers
-// above one the first pass speculates batches of nets concurrently
-// (see parallel.go); results are identical to the serial run.
+// routing; a Router does not take ownership of it.
 type Router struct {
 	g   *grid.Grid
 	cfg Config
 	tr  obs.Tracer
-	// clk timestamps speculation attempts for the perf observer; it is
-	// the injectable Config.Clock (wall clock by default).
-	clk func() time.Time
-	// workerNames caches "w0".."wN" pprof label values so repeated
-	// batches don't re-concatenate them; grown only by the committer
-	// goroutine in speculate.
-	workerNames []string
-	// wenvs and specs are the parallel pass's reusable per-worker-slot
-	// environments and speculation records, re-armed serially at every
-	// batch boundary (see parallel.go); delta is the reusable batch
-	// delta. All three are owned by the committer goroutine whenever any
-	// worker goroutines are not between spawn and join.
-	wenvs []*workerEnv
-	specs []*speculation
-	delta batchDelta
 }
 
 // New returns a router over g.
 func New(g *grid.Grid, cfg Config) *Router {
-	return &Router{g: g, cfg: cfg, tr: cfg.tracer(), clk: cfg.clock()}
+	return &Router{g: g, cfg: cfg, tr: cfg.tracer()}
 }
 
-// routeEnv is the execution surface one routing attempt runs against.
-// The serial pass routes on the live grid with the real tracer and the
-// run budget; a parallel speculation swaps in a private grid snapshot,
-// a buffering event recorder, a speculative budget fork and its own
-// cost evaluator, so routeNet and everything below it is oblivious to
-// which mode it runs in. Config knobs are still read from the Router —
+// routeEnv is the execution surface of one Route call: the grid, the
+// tracer, the run budget and the pooled search scratch that every
+// routing attempt reuses. Config knobs are still read from the Router —
 // they are immutable for the duration of a run.
 type routeEnv struct {
 	g      *grid.Grid
@@ -111,18 +90,6 @@ type routeEnv struct {
 	// memory, which is safe here because connect/selectBest/addPath
 	// consume each result fully before the next search starts.
 	search *tig.Searcher
-	// read, when non-nil, accumulates the dilated grid windows the
-	// attempt's searches and cost evaluations observe; the parallel
-	// committer tests them against earlier commits to decide whether
-	// the speculation is still valid (see parallel.go).
-	read *readWindow
-}
-
-// noteRead records one search window when read tracking is on.
-func (e *routeEnv) noteRead(cols, rows geom.Interval) {
-	if e.read != nil {
-		e.read.add(cols, rows)
-	}
 }
 
 // Route routes the given nets and commits their metal to the grid.
@@ -161,12 +128,7 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 	}
 	routes := make(map[netlist.NetID]*NetRoute, len(nets))
 	shapes := make(map[netlist.NetID]*shape, len(nets))
-	var sticky error
-	if w := r.cfg.workers(); w > 1 && len(ordered) > 1 {
-		sticky = r.routeAllSpeculative(env, ordered, termPts, routes, shapes, res, w)
-	} else {
-		sticky = r.routeAllSerial(env, ordered, termPts, routes, shapes, res)
-	}
+	sticky := r.routeAllSerial(env, ordered, termPts, routes, shapes, res)
 	if sticky == nil {
 		r.recover(env, ordered, termPts, ranks, routes, shapes, res)
 		sticky = env.budget.Err() // a trip during recovery still surfaces
@@ -187,8 +149,8 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 	return res, nil
 }
 
-// routeAllSerial is the first pass in its original form: one net at a
-// time in routing order on the live grid.
+// routeAllSerial is the first pass: one net at a time in routing order,
+// the paper's serial level B loop.
 func (r *Router) routeAllSerial(env *routeEnv, ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
@@ -207,9 +169,8 @@ func (r *Router) routeAllSerial(env *routeEnv, ordered []*netlist.Net,
 }
 
 // pollSticky folds the budget's run-level state into sticky, emitting
-// the run-level EvBudget event once on the first trip. Both the serial
-// loop and the parallel committer call it before every net so sticky
-// semantics are identical across modes.
+// the run-level EvBudget event once on the first trip. The first pass
+// calls it before every net.
 func (r *Router) pollSticky(env *routeEnv, sticky error) error {
 	if sticky != nil {
 		return sticky
@@ -235,9 +196,7 @@ func skippedRoute(net *netlist.Net, terms []tig.Point, cause error) *NetRoute {
 // recover runs bounded rip-up-and-reroute passes: every net that could
 // not complete lifts a set of committed nets out of its congestion
 // window, takes the freed space first, and the lifted nets re-route
-// after it. Passes repeat while they make progress. Recovery is always
-// serial — rip-up retries mutate the live grid — regardless of
-// Config.Workers, which only parallelises the first pass.
+// after it. Passes repeat while they make progress.
 func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
@@ -453,11 +412,7 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 				Escalated: nr.Escalations, Failed: nr.Err != nil,
 			})
 		}
-		// Commit-boundary sampling fires only for live-grid commits: a
-		// non-nil read window marks a speculative attempt on a snapshot
-		// (see parallel.go); its metal reaches the live grid — and the
-		// observer — via commitSpeculation instead.
-		if r.cfg.Congest != nil && env.read == nil {
+		if r.cfg.Congest != nil {
 			r.cfg.Congest.NetCommitted(rank, net.Name, nr.Err != nil, env.g)
 		}
 	}()
@@ -582,7 +537,6 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	fullRows := geom.Iv(0, env.g.NY()-1)
 
 	attempt := func(cfg tig.Config) (tig.Path, bool, error) {
-		env.noteRead(cfg.ColBounds, cfg.RowBounds)
 		sr, ok := env.search.Search(env.g, from, to, cfg)
 		if sr != nil {
 			res.Expanded += sr.Expanded

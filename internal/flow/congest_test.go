@@ -1,51 +1,11 @@
 package flow
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"overcell/internal/gen"
 	"overcell/internal/obs/congest"
 )
-
-// congestProposedWorkers routes the macrocell instance with the given
-// worker count and a congestion series attached, returning the full
-// report (frames included) as JSON.
-func congestProposedWorkers(t *testing.T, workers int) []byte {
-	t.Helper()
-	inst, err := gen.Ami33Like()
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := congest.New(0, 0)
-	if _, err := Proposed(inst, Options{Workers: workers, Congest: series}); err != nil {
-		t.Fatal(err)
-	}
-	if series.Len() == 0 {
-		t.Fatal("congestion series recorded no samples; Options.Congest is not reaching the router")
-	}
-	out, err := json.Marshal(series.Report(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestCongestionSeriesWorkerEquivalence enforces the congestion
-// telemetry's determinism contract: the commit-boundary series —
-// samples, per-tile frames, and their JSON encoding — must be
-// byte-identical at every worker count.
-func TestCongestionSeriesWorkerEquivalence(t *testing.T) {
-	serial := congestProposedWorkers(t, 1)
-	for _, w := range []int{2, 4} {
-		par := congestProposedWorkers(t, w)
-		if !bytes.Equal(serial, par) {
-			t.Fatalf("workers=%d: congestion report diverges from serial:\n  serial len %d\n  parallel len %d",
-				w, len(serial), len(par))
-		}
-	}
-}
 
 // TestCongestionSeriesShape sanity-checks the report contents on one
 // run: monotone rank coverage, utilisation within [0,10000], and a
@@ -56,7 +16,7 @@ func TestCongestionSeriesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := congest.New(0, 0)
-	res, err := Proposed(inst, Options{Workers: 1, Congest: series})
+	res, err := Proposed(inst, Options{Congest: series})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,112 +64,13 @@ const (
 type Grid struct {
 	xs, ys []int // track coordinates, strictly increasing
 
-	blockH cowSets // per row: blocked column spans on LayerH
-	blockV cowSets // per column: blocked row spans on LayerV
+	blockH []geom.IntervalSet // per row: blocked column spans on LayerH
+	blockV []geom.IntervalSet // per column: blocked row spans on LayerV
 
-	wireH cowSets // per row: columns covered by routed wire on LayerH
-	wireV cowSets // per column: rows covered by routed wire on LayerV
+	wireH []geom.IntervalSet // per row: columns covered by routed wire on LayerH
+	wireV []geom.IntervalSet // per column: rows covered by routed wire on LayerV
 
-	terms cowSets // per row: columns holding unrouted terminals
-}
-
-// cowSets is one per-track overlay array with copy-on-write snapshot
-// sharing. A grid built by New is a "root": own holds the live
-// interval sets and base is nil. Clone does not deep-copy the sets;
-// instead the clone records a shallow copy of the root's set headers
-// in base and starts with nothing in own. Reads fall through to base;
-// the first write to a track in a snapshot epoch copies just that
-// track's set into own (reusing its previous backing storage), so a
-// snapshot costs O(touched tracks), not O(all tracks).
-//
-// Sharing is symmetric: when a root hands out a snapshot it bumps its
-// own epoch too, and its next write to each track detaches that track
-// onto a fresh backing before mutating. The frozen backing the clone's
-// base headers point at is therefore never written by either side,
-// which preserves Clone's full isolation contract in both directions.
-// A root that has never been cloned has stamp == nil and pays nothing.
-type cowSets struct {
-	base   []geom.IntervalSet // frozen snapshot headers (clones only; nil on a root)
-	own    []geom.IntervalSet // private storage; on clones valid iff stamp[i] == epoch
-	stamp  []uint64           // per-track ownership stamp; nil on a never-shared root
-	epoch  uint64             // current snapshot epoch; stamp[i] == epoch means own[i] is live
-	copies int                // tracks copied since the last (re)snapshot
-}
-
-// at returns the set for track i for reading. Callers must not mutate
-// through it.
-func (o *cowSets) at(i int) *geom.IntervalSet {
-	if o.base != nil && o.stamp[i] != o.epoch {
-		return &o.base[i]
-	}
-	return &o.own[i]
-}
-
-// mut returns the set for track i for writing, copying the track out
-// of the shared snapshot storage first if this epoch has not touched
-// it yet.
-func (o *cowSets) mut(i int) *geom.IntervalSet {
-	if o.stamp == nil {
-		return &o.own[i] // never-shared root: write in place
-	}
-	if o.stamp[i] != o.epoch {
-		if o.base != nil {
-			// Clone view: materialise a private copy of the frozen
-			// track, reusing the backing a previous epoch left here.
-			o.own[i].CopyFrom(&o.base[i])
-		} else {
-			// Shared root: the current backing is visible to live
-			// snapshots; detach onto a fresh one before writing.
-			o.own[i] = *o.own[i].Clone()
-		}
-		o.stamp[i] = o.epoch
-		o.copies++
-	}
-	return &o.own[i]
-}
-
-// share freezes the root's current backing arrays: every track becomes
-// copy-before-write until the next epoch touches it.
-func (o *cowSets) share() {
-	if o.stamp == nil {
-		o.stamp = make([]uint64, len(o.own))
-	}
-	o.epoch++
-}
-
-// resnapFrom re-aims o at a fresh snapshot of the root src: the set
-// headers are copied (a memcpy, no per-set work), every previously
-// copied track is disowned by bumping the epoch, and src itself is
-// re-frozen. Reusing the same clone across snapshots keeps each
-// track's copy buffer, so steady-state snapshotting allocates nothing.
-func (o *cowSets) resnapFrom(src *cowSets) {
-	n := len(src.own)
-	src.share()
-	if cap(o.base) < n {
-		o.base = make([]geom.IntervalSet, n)
-	} else {
-		o.base = o.base[:n]
-	}
-	copy(o.base, src.own)
-	if len(o.own) != n {
-		o.own = make([]geom.IntervalSet, n)
-	}
-	if len(o.stamp) != n {
-		o.stamp = make([]uint64, n)
-		o.epoch = 0
-	}
-	o.epoch++
-	o.copies = 0
-}
-
-// deepFrom materialises o as an independent root copy of src's logical
-// content (used when snapshotting a grid that is itself a snapshot).
-func (o *cowSets) deepFrom(src *cowSets, n int) {
-	o.base, o.stamp, o.epoch, o.copies = nil, nil, 0, 0
-	o.own = make([]geom.IntervalSet, n)
-	for i := 0; i < n; i++ {
-		o.own[i].CopyFrom(src.at(i))
-	}
+	terms []geom.IntervalSet // per row: columns holding unrouted terminals
 }
 
 // New builds a grid from explicit track coordinate lists. Both lists
@@ -196,71 +97,13 @@ func New(xs, ys []int) (*Grid, error) {
 	g := &Grid{
 		xs:     append([]int(nil), xs...),
 		ys:     append([]int(nil), ys...),
-		blockH: cowSets{own: make([]geom.IntervalSet, len(ys))},
-		blockV: cowSets{own: make([]geom.IntervalSet, len(xs))},
-		wireH:  cowSets{own: make([]geom.IntervalSet, len(ys))},
-		wireV:  cowSets{own: make([]geom.IntervalSet, len(xs))},
-		terms:  cowSets{own: make([]geom.IntervalSet, len(ys))},
+		blockH: make([]geom.IntervalSet, len(ys)),
+		blockV: make([]geom.IntervalSet, len(xs)),
+		wireH:  make([]geom.IntervalSet, len(ys)),
+		wireV:  make([]geom.IntervalSet, len(xs)),
+		terms:  make([]geom.IntervalSet, len(ys)),
 	}
 	return g, nil
-}
-
-// Clone returns an independent logical copy of the grid's occupancy
-// state: blockage, routed wire, and terminal overlays. The track
-// coordinate lists are shared — they are immutable after New — and the
-// occupancy overlays are shared copy-on-write: no interval set is
-// copied at clone time; each side copies a track privately the first
-// time it writes it after the snapshot. A snapshot of a large,
-// mostly-idle grid therefore costs O(1) per overlay plus O(touched
-// tracks) as routing proceeds. Mutating a clone never affects the
-// original and vice versa.
-//
-// Cloning a grid that is itself a clone falls back to a full deep
-// copy; the speculation protocol only ever snapshots the live root.
-func (g *Grid) Clone() *Grid {
-	c := &Grid{xs: g.xs, ys: g.ys}
-	c.Resnapshot(g)
-	return c
-}
-
-// Resnapshot re-aims a previously cloned grid at parent's current
-// state, reusing the clone's header arrays and per-track copy buffers.
-// The parallel router calls this once per speculation instead of
-// allocating a fresh Clone; steady-state it performs five header
-// memcpys and no interval copying. The receiver must span the same
-// tracks as parent (it was produced by parent.Clone() or an earlier
-// Resnapshot). Calling it on a fresh &Grid{} with parent's xs/ys is
-// how Clone itself bootstraps.
-func (g *Grid) Resnapshot(parent *Grid) {
-	if len(g.xs) != len(parent.xs) || len(g.ys) != len(parent.ys) {
-		panic("grid: Resnapshot across different track geometries")
-	}
-	if parent.isView() {
-		// Snapshot of a snapshot: materialise full private copies.
-		g.blockH.deepFrom(&parent.blockH, len(parent.ys))
-		g.blockV.deepFrom(&parent.blockV, len(parent.xs))
-		g.wireH.deepFrom(&parent.wireH, len(parent.ys))
-		g.wireV.deepFrom(&parent.wireV, len(parent.xs))
-		g.terms.deepFrom(&parent.terms, len(parent.ys))
-		return
-	}
-	g.blockH.resnapFrom(&parent.blockH)
-	g.blockV.resnapFrom(&parent.blockV)
-	g.wireH.resnapFrom(&parent.wireH)
-	g.wireV.resnapFrom(&parent.wireV)
-	g.terms.resnapFrom(&parent.terms)
-}
-
-// isView reports whether g is a copy-on-write snapshot of another
-// grid (as opposed to a root built by New or a deep copy).
-func (g *Grid) isView() bool { return g.blockH.base != nil }
-
-// SnapshotCopies returns how many per-track interval-set copies this
-// grid has performed since it was (re)snapshotted — the real work a
-// copy-on-write clone did, reported by the parallel router's perf
-// attribution in place of the old full-clone cell count.
-func (g *Grid) SnapshotCopies() int {
-	return g.blockH.copies + g.blockV.copies + g.wireH.copies + g.wireV.copies + g.terms.copies
 }
 
 // Uniform builds an nx-by-ny grid with the given track pitch, with the
@@ -380,28 +223,28 @@ func (g *Grid) SpanLengthY(a, b int) int { return geom.Abs(g.ys[a] - g.ys[b]) }
 // ---------------------------------------------------------------------------
 
 // BlockH marks the column span cols of row as blocked on LayerH.
-func (g *Grid) BlockH(row int, cols geom.Interval) { g.blockH.mut(row).Add(cols) }
+func (g *Grid) BlockH(row int, cols geom.Interval) { g.blockH[row].Add(cols) }
 
 // UnblockH removes the column span from row's LayerH blockage.
-func (g *Grid) UnblockH(row int, cols geom.Interval) { g.blockH.mut(row).Remove(cols) }
+func (g *Grid) UnblockH(row int, cols geom.Interval) { g.blockH[row].Remove(cols) }
 
 // BlockV marks the row span rows of col as blocked on LayerV.
-func (g *Grid) BlockV(col int, rows geom.Interval) { g.blockV.mut(col).Add(rows) }
+func (g *Grid) BlockV(col int, rows geom.Interval) { g.blockV[col].Add(rows) }
 
 // UnblockV removes the row span from col's LayerV blockage.
-func (g *Grid) UnblockV(col int, rows geom.Interval) { g.blockV.mut(col).Remove(rows) }
+func (g *Grid) UnblockV(col int, rows geom.Interval) { g.blockV[col].Remove(rows) }
 
 // BlockPoint blocks the single grid point on both layers (a via or a
 // terminal stack).
 func (g *Grid) BlockPoint(col, row int) {
-	g.blockH.mut(row).AddPoint(col)
-	g.blockV.mut(col).AddPoint(row)
+	g.blockH[row].AddPoint(col)
+	g.blockV[col].AddPoint(row)
 }
 
 // UnblockPoint removes the single grid point from both layers.
 func (g *Grid) UnblockPoint(col, row int) {
-	g.blockH.mut(row).Remove(geom.Iv(col, col))
-	g.blockV.mut(col).Remove(geom.Iv(row, row))
+	g.blockH[row].Remove(geom.Iv(col, col))
+	g.blockV[col].Remove(geom.Iv(row, row))
 }
 
 // BlockRect blocks every grid point inside the layout rectangle r on
@@ -417,12 +260,12 @@ func (g *Grid) BlockRect(r geom.Rect, m Mask) {
 	}
 	if m&MaskH != 0 {
 		for j := rows.Lo; j <= rows.Hi; j++ {
-			g.blockH.mut(j).Add(cols)
+			g.blockH[j].Add(cols)
 		}
 	}
 	if m&MaskV != 0 {
 		for i := cols.Lo; i <= cols.Hi; i++ {
-			g.blockV.mut(i).Add(rows)
+			g.blockV[i].Add(rows)
 		}
 	}
 }
@@ -460,43 +303,43 @@ func (g *Grid) rowRange(y0, y1 int) (geom.Interval, bool) {
 // blocking it and adding it to the wire overlay used by the cost
 // function's routed-proximity term.
 func (g *Grid) CommitHWire(row int, cols geom.Interval) {
-	g.blockH.mut(row).Add(cols)
-	g.wireH.mut(row).Add(cols)
+	g.blockH[row].Add(cols)
+	g.wireH[row].Add(cols)
 }
 
 // CommitVWire records a routed vertical wire on LayerV along col.
 func (g *Grid) CommitVWire(col int, rows geom.Interval) {
-	g.blockV.mut(col).Add(rows)
-	g.wireV.mut(col).Add(rows)
+	g.blockV[col].Add(rows)
+	g.wireV[col].Add(rows)
 }
 
 // CommitVia records a routed via at (col, row), blocking the point on
 // both layers.
 func (g *Grid) CommitVia(col, row int) {
 	g.BlockPoint(col, row)
-	g.wireH.mut(row).AddPoint(col)
-	g.wireV.mut(col).AddPoint(row)
+	g.wireH[row].AddPoint(col)
+	g.wireV[col].AddPoint(row)
 }
 
 // LiftHWire removes a previously committed horizontal wire (both
 // blockage and wire overlay). Used by the router to make a net's own
 // metal transparent while extending the same net.
 func (g *Grid) LiftHWire(row int, cols geom.Interval) {
-	g.blockH.mut(row).Remove(cols)
-	g.wireH.mut(row).Remove(cols)
+	g.blockH[row].Remove(cols)
+	g.wireH[row].Remove(cols)
 }
 
 // LiftVWire removes a previously committed vertical wire.
 func (g *Grid) LiftVWire(col int, rows geom.Interval) {
-	g.blockV.mut(col).Remove(rows)
-	g.wireV.mut(col).Remove(rows)
+	g.blockV[col].Remove(rows)
+	g.wireV[col].Remove(rows)
 }
 
 // LiftVia removes a previously committed via.
 func (g *Grid) LiftVia(col, row int) {
 	g.UnblockPoint(col, row)
-	g.wireH.mut(row).Remove(geom.Iv(col, col))
-	g.wireV.mut(col).Remove(geom.Iv(row, row))
+	g.wireH[row].Remove(geom.Iv(col, col))
+	g.wireV[col].Remove(geom.Iv(row, row))
 }
 
 // MarkTerminal registers an unrouted terminal at (col, row): the point
@@ -504,14 +347,14 @@ func (g *Grid) LiftVia(col, row int) {
 // pin) and counted by the unrouted-terminal proximity term.
 func (g *Grid) MarkTerminal(col, row int) {
 	g.BlockPoint(col, row)
-	g.terms.mut(row).AddPoint(col)
+	g.terms[row].AddPoint(col)
 }
 
 // ClearTerminal removes the unrouted-terminal marker and its blockage;
 // the router calls this for a net's own terminals before routing it.
 func (g *Grid) ClearTerminal(col, row int) {
 	g.UnblockPoint(col, row)
-	g.terms.mut(row).Remove(geom.Iv(col, col))
+	g.terms[row].Remove(geom.Iv(col, col))
 }
 
 // ---------------------------------------------------------------------------
@@ -521,32 +364,32 @@ func (g *Grid) ClearTerminal(col, row int) {
 // HFree reports whether the column span on row is entirely clear on
 // LayerH.
 func (g *Grid) HFree(row int, cols geom.Interval) bool {
-	return !g.blockH.at(row).Overlaps(cols)
+	return !g.blockH[row].Overlaps(cols)
 }
 
 // VFree reports whether the row span on col is entirely clear on
 // LayerV.
 func (g *Grid) VFree(col int, rows geom.Interval) bool {
-	return !g.blockV.at(col).Overlaps(rows)
+	return !g.blockV[col].Overlaps(rows)
 }
 
 // PointFree reports whether the grid point is clear on both layers,
 // i.e. usable as a corner via or terminal landing.
 func (g *Grid) PointFree(col, row int) bool {
-	return !g.blockH.at(row).Contains(col) && !g.blockV.at(col).Contains(row)
+	return !g.blockH[row].Contains(col) && !g.blockV[col].Contains(row)
 }
 
 // HClearSpan returns the maximal clear column span on row's LayerH
 // that contains col, clipped to bounds. ok is false when col itself is
 // blocked.
 func (g *Grid) HClearSpan(row, col int, bounds geom.Interval) (geom.Interval, bool) {
-	return g.blockH.at(row).ClearSpanAround(col, bounds)
+	return g.blockH[row].ClearSpanAround(col, bounds)
 }
 
 // VClearSpan returns the maximal clear row span on col's LayerV that
 // contains row, clipped to bounds.
 func (g *Grid) VClearSpan(col, row int, bounds geom.Interval) (geom.Interval, bool) {
-	return g.blockV.at(col).ClearSpanAround(row, bounds)
+	return g.blockV[col].ClearSpanAround(row, bounds)
 }
 
 // WireCountIn returns the number of routed-wire grid points (on either
@@ -556,10 +399,10 @@ func (g *Grid) VClearSpan(col, row int, bounds geom.Interval) (geom.Interval, bo
 func (g *Grid) WireCountIn(cols, rows geom.Interval) int {
 	n := 0
 	for j := geom.Max(rows.Lo, 0); j <= geom.Min(rows.Hi, len(g.ys)-1); j++ {
-		n += g.wireH.at(j).OverlapCount(cols)
+		n += g.wireH[j].OverlapCount(cols)
 	}
 	for i := geom.Max(cols.Lo, 0); i <= geom.Min(cols.Hi, len(g.xs)-1); i++ {
-		n += g.wireV.at(i).OverlapCount(rows)
+		n += g.wireV[i].OverlapCount(rows)
 	}
 	return n
 }
@@ -570,7 +413,7 @@ func (g *Grid) WireCountIn(cols, rows geom.Interval) int {
 func (g *Grid) HWireCountIn(cols, rows geom.Interval) int {
 	n := 0
 	for j := geom.Max(rows.Lo, 0); j <= geom.Min(rows.Hi, len(g.ys)-1); j++ {
-		n += g.wireH.at(j).OverlapCount(cols)
+		n += g.wireH[j].OverlapCount(cols)
 	}
 	return n
 }
@@ -579,7 +422,7 @@ func (g *Grid) HWireCountIn(cols, rows geom.Interval) int {
 func (g *Grid) VWireCountIn(cols, rows geom.Interval) int {
 	n := 0
 	for i := geom.Max(cols.Lo, 0); i <= geom.Min(cols.Hi, len(g.xs)-1); i++ {
-		n += g.wireV.at(i).OverlapCount(rows)
+		n += g.wireV[i].OverlapCount(rows)
 	}
 	return n
 }
@@ -589,7 +432,7 @@ func (g *Grid) VWireCountIn(cols, rows geom.Interval) int {
 func (g *Grid) TermCountIn(cols, rows geom.Interval) int {
 	n := 0
 	for j := geom.Max(rows.Lo, 0); j <= geom.Min(rows.Hi, len(g.ys)-1); j++ {
-		n += g.terms.at(j).OverlapCount(cols)
+		n += g.terms[j].OverlapCount(cols)
 	}
 	return n
 }
@@ -600,10 +443,10 @@ func (g *Grid) TermCountIn(cols, rows geom.Interval) int {
 func (g *Grid) BlockedCountIn(cols, rows geom.Interval) int {
 	n := 0
 	for j := geom.Max(rows.Lo, 0); j <= geom.Min(rows.Hi, len(g.ys)-1); j++ {
-		n += g.blockH.at(j).OverlapCount(cols)
+		n += g.blockH[j].OverlapCount(cols)
 	}
 	for i := geom.Max(cols.Lo, 0); i <= geom.Min(cols.Hi, len(g.xs)-1); i++ {
-		n += g.blockV.at(i).OverlapCount(rows)
+		n += g.blockV[i].OverlapCount(rows)
 	}
 	return n
 }
@@ -634,10 +477,10 @@ func (g *Grid) BlockedPoints() int {
 // is built from these.
 func (g *Grid) BlockedPerLayer() (h, v int) {
 	for j := range g.ys {
-		h += g.blockH.at(j).Count()
+		h += g.blockH[j].Count()
 	}
 	for i := range g.xs {
-		v += g.blockV.at(i).Count()
+		v += g.blockV[i].Count()
 	}
 	return h, v
 }

@@ -2,9 +2,7 @@ package grid
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"overcell/internal/geom"
@@ -371,157 +369,5 @@ func TestIndexWindow(t *testing.T) {
 	cols, rows, ok = g.IndexWindow(geom.R(30, 30, 30, 30))
 	if !ok || cols != geom.Iv(3, 3) || rows != geom.Iv(3, 3) {
 		t.Errorf("point window = %v,%v,%v", cols, rows, ok)
-	}
-}
-
-func TestCloneIsolation(t *testing.T) {
-	g := mustUniform(t, 10, 10, 10)
-	g.BlockH(2, geom.Iv(1, 4))
-	g.CommitVWire(5, geom.Iv(0, 7))
-	g.MarkTerminal(8, 8)
-
-	c := g.Clone()
-	// The clone sees the original's state...
-	if g.HFree(2, geom.Iv(1, 4)) || c.HFree(2, geom.Iv(1, 4)) {
-		t.Fatal("blockage missing before or after clone")
-	}
-	if c.VWireCountIn(geom.Iv(5, 5), geom.Iv(0, 7)) != g.VWireCountIn(geom.Iv(5, 5), geom.Iv(0, 7)) {
-		t.Fatal("clone wire overlay differs from original")
-	}
-	if c.TermCountIn(geom.Iv(8, 8), geom.Iv(8, 8)) != 1 {
-		t.Fatal("clone lost the terminal overlay")
-	}
-
-	// ...and mutations stay on their own side, both directions.
-	c.BlockV(7, geom.Iv(0, 9))
-	if !g.VFree(7, geom.Iv(0, 9)) {
-		t.Error("blocking a column on the clone leaked into the original")
-	}
-	g.BlockPoint(0, 0)
-	if !c.PointFree(0, 0) {
-		t.Error("blocking a point on the original leaked into the clone")
-	}
-	c.ClearTerminal(8, 8)
-	if g.TermCountIn(geom.Iv(8, 8), geom.Iv(8, 8)) != 1 {
-		t.Error("clearing a terminal on the clone leaked into the original")
-	}
-	g.LiftVWire(5, geom.Iv(0, 7))
-	if c.VWireCountIn(geom.Iv(5, 5), geom.Iv(0, 7)) == 0 {
-		t.Error("lifting wire on the original leaked into the clone")
-	}
-}
-
-// fingerprint captures the grid's full logical occupancy through its
-// query surface — per-point blockage on both layers plus wire and
-// terminal counts — so tests can assert that an overlay's observable
-// state is byte-for-byte unchanged without reaching into the COW
-// internals.
-func fingerprint(g *Grid) string {
-	var b strings.Builder
-	for row := 0; row < g.NY(); row++ {
-		for col := 0; col < g.NX(); col++ {
-			pc := geom.Iv(col, col)
-			pr := geom.Iv(row, row)
-			fmt.Fprintf(&b, "%t%t%d%d;",
-				g.HFree(row, pc), g.VFree(col, pr),
-				g.WireCountIn(pc, pr), g.TermCountIn(pc, pr))
-		}
-	}
-	return b.String()
-}
-
-// TestCloneCOWAliasing is the aliasing-safety lock for the
-// copy-on-write snapshot protocol: the terminal and blockage overlays
-// are shared by reference at clone time, so heavy wire mutation on a
-// clone must leave every observable byte of the parent's terms and
-// blockage state untouched (and vice versa for the clone when the
-// parent routes on).
-func TestCloneCOWAliasing(t *testing.T) {
-	g := mustUniform(t, 24, 24, 10)
-	g.BlockRect(geom.R(40, 40, 120, 80), MaskH)
-	g.BlockRect(geom.R(150, 100, 200, 200), MaskBoth)
-	for i := 0; i < 6; i++ {
-		g.MarkTerminal(2*i, 20-i)
-	}
-	before := fingerprint(g)
-
-	c := g.Clone()
-	if got := fingerprint(c); got != before {
-		t.Fatal("clone does not reproduce the parent's occupancy")
-	}
-	// Route aggressively on the clone: wires, vias, terminal clears,
-	// lifts — touching every overlay family on many tracks.
-	for row := 0; row < 24; row += 2 {
-		c.CommitHWire(row, geom.Iv(1, 22))
-	}
-	for col := 1; col < 24; col += 3 {
-		c.CommitVWire(col, geom.Iv(2, 21))
-	}
-	c.CommitVia(3, 3)
-	c.ClearTerminal(0, 20)
-	c.LiftHWire(4, geom.Iv(5, 9))
-	c.BlockPoint(23, 23)
-	if got := fingerprint(g); got != before {
-		t.Fatal("mutating the clone's wires changed the parent's observable state")
-	}
-
-	// Symmetric direction: the parent keeps routing after handing out a
-	// snapshot; the clone's view must stay frozen at clone time.
-	c2 := g.Clone()
-	frozen := fingerprint(c2)
-	for row := 1; row < 24; row += 2 {
-		g.CommitHWire(row, geom.Iv(0, 23))
-	}
-	g.ClearTerminal(2, 19)
-	g.BlockRect(geom.R(0, 0, 230, 30), MaskV)
-	if got := fingerprint(c2); got != frozen {
-		t.Fatal("mutating the parent changed a live snapshot's observable state")
-	}
-}
-
-// TestResnapshot pins the reusable-snapshot contract: a clone re-aimed
-// with Resnapshot reflects the parent's current state, stays isolated
-// for further mutation on either side, and reports its per-track copy
-// work through SnapshotCopies.
-func TestResnapshot(t *testing.T) {
-	g := mustUniform(t, 16, 16, 10)
-	g.MarkTerminal(1, 1)
-	c := g.Clone()
-	if c.SnapshotCopies() != 0 {
-		t.Fatalf("fresh clone reports %d copies before any write", c.SnapshotCopies())
-	}
-	c.CommitHWire(2, geom.Iv(0, 5))
-	if c.SnapshotCopies() == 0 {
-		t.Fatal("writing a track did not count as a snapshot copy")
-	}
-
-	// Parent moves on; the re-armed snapshot must match it exactly.
-	g.CommitVWire(7, geom.Iv(0, 9))
-	g.ClearTerminal(1, 1)
-	c.Resnapshot(g)
-	if c.SnapshotCopies() != 0 {
-		t.Fatalf("Resnapshot left %d stale copies counted", c.SnapshotCopies())
-	}
-	if fingerprint(c) != fingerprint(g) {
-		t.Fatal("re-armed snapshot does not match the parent")
-	}
-	c.CommitHWire(3, geom.Iv(1, 4))
-	if !g.HFree(3, geom.Iv(1, 4)) {
-		t.Fatal("write on re-armed snapshot leaked into the parent")
-	}
-	g.BlockPoint(0, 0)
-	if !c.PointFree(0, 0) {
-		t.Fatal("parent write after resnapshot leaked into the snapshot")
-	}
-
-	// A snapshot of a snapshot deep-copies (the speculation protocol
-	// only snapshots the live root, but the fallback must stay correct).
-	cc := c.Clone()
-	if fingerprint(cc) != fingerprint(c) {
-		t.Fatal("clone of a clone does not match its source")
-	}
-	cc.CommitVWire(11, geom.Iv(0, 3))
-	if !c.VFree(11, geom.Iv(0, 3)) {
-		t.Fatal("write on a deep snapshot leaked into the view it copied")
 	}
 }

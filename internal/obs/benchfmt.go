@@ -17,8 +17,7 @@ type BenchEntry struct {
 	BytesPerOp  uint64             `json:"bytes_per_op"`
 	AllocsPerOp uint64             `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	// Phases breaks the workload's cost down by flow phase (plus the
-	// parallel pipeline's speculate/commit pseudo-phases), as reported
+	// Phases breaks the workload's cost down by flow phase, as reported
 	// by the perf attribution layer. Schema 3+.
 	Phases []BenchPhase `json:"phases,omitempty"`
 }

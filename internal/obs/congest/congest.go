@@ -2,10 +2,10 @@
 // one routing run: one sample per net commit, taken at the live-grid
 // commit boundary (core.CommitObserver), holding the per-layer track
 // utilisation, the hottest tile, the overflowed-tile count and a full
-// per-tile occupancy frame. Because the router's commit order is the
-// serial routing order at every worker count, and every quantity is
-// integer arithmetic over grid counts, the series — including its JSON
-// encoding — is byte-identical for any Config.Workers. This is the
+// per-tile occupancy frame. Because the router commits nets in its
+// deterministic routing order, and every quantity is integer arithmetic
+// over grid counts, the series — including its JSON encoding — is
+// byte-identical run to run. This is the
 // data surface the ROADMAP's congestion-driven global-routing stage
 // consumes, and what GET /runs/{id}/congestion serves.
 //

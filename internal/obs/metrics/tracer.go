@@ -32,7 +32,6 @@ type Tracer struct {
 	ripupAttempts, ripupWins     *Counter
 	ripupPasses                  *Counter
 	budgetTransient, budgetStick *Counter
-	speculations, conflicts      *Counter
 }
 
 // allEventTypes is the exhaustive taxonomy, mirrored from the obs
@@ -40,7 +39,7 @@ type Tracer struct {
 var allEventTypes = []obs.EventType{
 	obs.EvPhaseStart, obs.EvPhaseEnd, obs.EvNetStart, obs.EvNetDone,
 	obs.EvMBFS, obs.EvSelect, obs.EvEscalate, obs.EvRipup,
-	obs.EvRipupPass, obs.EvMaze, obs.EvBudget, obs.EvParallel,
+	obs.EvRipupPass, obs.EvMaze, obs.EvBudget,
 }
 
 // NewTracer registers the routing metric families on reg and returns
@@ -71,10 +70,6 @@ func NewTracer(reg *Registry) *Tracer {
 		"Work-budget trips.", L("sticky", "false"))
 	t.budgetStick = reg.Counter("ocroute_budget_trips_total",
 		"Work-budget trips.", L("sticky", "true"))
-	t.speculations = reg.Counter("ocroute_parallel_speculations_total",
-		"Speculative routing attempts launched by the parallel level-B pass.")
-	t.conflicts = reg.Counter("ocroute_parallel_conflicts_total",
-		"Speculations discarded and re-run serially after a batch conflict.")
 	// Pre-register the low-cardinality labelled families the emit path
 	// resolves on demand, so they appear (empty) before the first run.
 	for _, phase := range []string{"level-a", "level-b", "verify"} {
@@ -136,9 +131,6 @@ func (t *Tracer) Emit(e obs.Event) {
 		} else {
 			t.budgetTransient.Inc()
 		}
-	case obs.EvParallel:
-		t.speculations.Add(int64(e.Speculated))
-		t.conflicts.Add(int64(e.Conflicts))
 	case obs.EvPhaseEnd:
 		t.reg.Counter("ocroute_phase_ns_total",
 			"Wall time spent per flow phase, nanoseconds.", L("phase", e.Phase)).Add(e.DurNS)

@@ -72,14 +72,6 @@ const (
 	// cap, deadline, cancellation) from transient per-net exhaustion
 	// (false: the run continues with the next net degraded).
 	EvBudget EventType = "budget"
-	// EvParallel summarises one speculate/validate/commit batch of the
-	// parallel level-B first pass: Speculated is the number of
-	// speculative routing attempts launched, Conflicts how many of them
-	// the committer discarded and re-ran serially because an earlier
-	// commit in the batch touched their congestion window. The event
-	// carries no routing state — parallelism never changes routing
-	// results — so run-equivalence comparisons ignore it.
-	EvParallel EventType = "parallel"
 )
 
 // Event is one observation. It is a flat union: every event type uses
@@ -102,12 +94,9 @@ type Event struct {
 	Vias      int       `json:"vias,omitempty"`
 	Victims   int       `json:"victims,omitempty"`
 	Escalated int       `json:"escalated,omitempty"`
-	// Speculated and Conflicts are EvParallel's batch counters.
-	Speculated int   `json:"speculated,omitempty"`
-	Conflicts  int   `json:"conflicts,omitempty"`
-	Relaxed    bool  `json:"relaxed,omitempty"`
-	Failed     bool  `json:"failed,omitempty"`
-	DurNS      int64 `json:"dur_ns,omitempty"`
+	Relaxed   bool      `json:"relaxed,omitempty"`
+	Failed    bool      `json:"failed,omitempty"`
+	DurNS     int64     `json:"dur_ns,omitempty"`
 }
 
 // Tracer receives routing events. Implementations must tolerate events

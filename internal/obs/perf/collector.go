@@ -13,27 +13,22 @@ type Options struct {
 	// Run identifies the run in the report (an ocserved run id, an
 	// instance name, a bench workload tag).
 	Run string
-	// Clock supplies every collector-side timestamp: run bounds,
-	// commit-queue dwell, validate/commit/re-route marks. It must be
-	// safe for concurrent use (speculative workers timestamp their own
-	// attempts); nil means the wall clock. Determinism tests inject a
-	// constant clock, collapsing every duration to zero.
+	// Clock supplies the run-bound timestamps; nil means the wall clock.
+	// Determinism tests inject a constant clock, collapsing the run's
+	// wall time to zero.
 	Clock func() time.Time
-	// Sampler supplies the runtime counter readings taken at phase and
-	// batch boundaries. Nil means RuntimeSampler(). Determinism tests
-	// inject a constant sampler, collapsing every delta to zero.
+	// Sampler supplies the runtime counter readings taken at phase
+	// boundaries. Nil means RuntimeSampler(). Determinism tests inject a
+	// constant sampler, collapsing every delta to zero.
 	Sampler func() Sample
 	// Mem supplies the run-level MemStats reading. Nil means ReadMem.
 	Mem func() MemSnap
 }
 
 // Collector accumulates one run's performance attribution. It is an
-// obs.Tracer (phase boundaries trigger runtime samples) and satisfies
-// the core router's PerfObserver (the parallel pipeline hooks). All
-// hook and Emit calls arrive from the run's single emitting goroutine
-// except the speculation timestamps, which workers record privately;
-// Report may be called concurrently at any time for a mid-run
-// snapshot.
+// obs.Tracer: phase boundaries trigger runtime samples. Emit calls
+// arrive from the run's single emitting goroutine; Report may be called
+// concurrently at any time for a mid-run snapshot.
 type Collector struct {
 	runID   string
 	clock   func() time.Time
@@ -43,7 +38,6 @@ type Collector struct {
 	mu       sync.Mutex
 	started  bool
 	finished bool
-	workers  int
 	startT   time.Time
 	endT     time.Time
 	startS   Sample
@@ -56,26 +50,6 @@ type Collector struct {
 	phases     map[string]*phaseAgg
 	open       *phaseAgg
 	openS      Sample
-
-	// Parallel pipeline accounting (see the PerfObserver hooks).
-	batches       int
-	speculated    int64
-	committedN    int64
-	windowConf    int64
-	otherDiscards int64
-	reroutes      int64
-	specDelta     Sample // allocated inside speculation windows
-	commitDelta   Sample // allocated during validate/commit/re-route
-	batchS, specS Sample
-	specDone      bool
-	lastMark      time.Time
-	dwellNS       int64
-	validateNS    int64
-	commitNS      int64
-	rerouteNS     int64
-	workerAggs    []workerAgg
-	pairs         map[pairKey]*pairAgg
-	pendingPair   *pairAgg
 }
 
 type phaseAgg struct {
@@ -83,22 +57,6 @@ type phaseAgg struct {
 	count  int
 	wallNS int64
 	d      Sample
-}
-
-type workerAgg struct {
-	specs         int64
-	specNS        int64
-	cloneCells    int64
-	events        int64
-	budgetUsed    int64
-	budgetCharges int64
-}
-
-type pairKey struct{ earlier, later string }
-
-type pairAgg struct {
-	count     int64
-	rerouteNS int64
 }
 
 // New builds a Collector over o.
@@ -121,23 +79,7 @@ func New(o Options) *Collector {
 		sampler: smp,
 		mem:     mem,
 		phases:  make(map[string]*phaseAgg),
-		pairs:   make(map[pairKey]*pairAgg),
 	}
-}
-
-// Clock returns the collector's clock, for callers (flow, benchjson)
-// that must timestamp on the same timeline the collector uses — the
-// commit-queue dwell is "committer reached the net" minus "speculation
-// finished", which only means something if both readings share a
-// clock.
-func (c *Collector) Clock() func() time.Time { return c.clock }
-
-// SetWorkers records the resolved speculative worker count for the
-// report header.
-func (c *Collector) SetWorkers(n int) {
-	c.mu.Lock()
-	c.workers = n
-	c.mu.Unlock()
 }
 
 // Start opens the run window: first call samples the clock, the
@@ -184,7 +126,7 @@ func (c *Collector) Enabled() bool { return true }
 
 // Emit implements obs.Tracer. Only phase boundaries do work — the
 // phase wall time is taken from the event's own DurNS (measured by the
-// flow's clock, so it is identical at every worker count), while the
+// flow's clock), while the
 // allocation delta across the phase comes from the collector's
 // sampler.
 //
@@ -229,179 +171,4 @@ func (c *Collector) phaseLocked(name string) *phaseAgg {
 		c.phaseOrder = append(c.phaseOrder, name)
 	}
 	return p
-}
-
-// workerLocked returns worker w's aggregate, growing the slice with
-// preallocated headroom. Caller holds c.mu.
-func (c *Collector) workerLocked(w int) *workerAgg {
-	if w >= len(c.workerAggs) {
-		grown := make([]workerAgg, w+1, 2*(w+1))
-		copy(grown, c.workerAggs)
-		c.workerAggs = grown
-	}
-	return &c.workerAggs[w]
-}
-
-// BatchStart begins one speculation batch: everything allocated
-// between this sample and BatchSpeculated's is attributed to the
-// speculation windows (the committer blocks in the join, so only
-// workers allocate in between).
-//
-//oc:hotpath
-func (c *Collector) BatchStart(phase string, nets, workers int) {
-	c.mu.Lock()
-	c.batches++
-	c.specDone = false
-	c.batchS = c.sampler()
-	c.noteLocked(c.batchS)
-	c.mu.Unlock()
-}
-
-// BatchSpeculated marks the join: all workers have finished. The
-// sample delta since BatchStart is the batch's speculation-window
-// allocation; the commit loop's own cost accrues from here.
-//
-//oc:hotpath
-func (c *Collector) BatchSpeculated() {
-	c.mu.Lock()
-	c.specS = c.sampler()
-	c.specDone = true
-	c.specDelta = c.specDelta.Add(c.specS.Sub(c.batchS))
-	c.lastMark = c.clock()
-	c.noteLocked(c.specS)
-	c.mu.Unlock()
-}
-
-// Spec records one speculation's private accounting as the committer
-// reaches it: which worker ran it, how long it routed, how many
-// per-track copies its copy-on-write snapshot materialised (the
-// cloneCells parameter — full grid cells before COW snapshots), how
-// many trace events it buffered, and what its budget fork charged.
-//
-//oc:hotpath
-func (c *Collector) Spec(worker int, net string, start, end time.Time, cloneCells, bufferedEvents int, budgetUsed, budgetCharges int64) {
-	c.mu.Lock()
-	w := c.workerLocked(worker)
-	w.specs++
-	if !start.IsZero() && !end.IsZero() {
-		if d := end.Sub(start).Nanoseconds(); d > 0 {
-			w.specNS += d
-		}
-	}
-	w.cloneCells += int64(cloneCells)
-	w.events += int64(bufferedEvents)
-	w.budgetUsed += budgetUsed
-	w.budgetCharges += budgetCharges
-	c.speculated++
-	c.mu.Unlock()
-}
-
-// Validated records the committer's verdict on one speculation.
-// committed=false with a non-empty conflictWith names the earlier net
-// in the batch whose committed geometry touched this speculation's
-// dilated read window; committed=false with an empty conflictWith is a
-// budget-pressure or mid-flight-death discard. The gap between the
-// speculation's end and this call is the commit-queue dwell — time the
-// finished result waited for the serial committer.
-//
-//oc:hotpath
-func (c *Collector) Validated(net, conflictWith string, committed bool, specEnd time.Time) {
-	c.mu.Lock()
-	now := c.clock()
-	if !specEnd.IsZero() {
-		if d := now.Sub(specEnd).Nanoseconds(); d > 0 {
-			c.dwellNS += d
-		}
-	}
-	if !c.lastMark.IsZero() {
-		if d := now.Sub(c.lastMark).Nanoseconds(); d > 0 {
-			c.validateNS += d
-		}
-	}
-	c.lastMark = now
-	c.pendingPair = nil
-	if !committed {
-		if conflictWith != "" {
-			c.windowConf++
-			k := pairKey{earlier: conflictWith, later: net}
-			pa := c.pairs[k]
-			if pa == nil {
-				pa = &pairAgg{}
-				c.pairs[k] = pa
-			}
-			pa.count++
-			c.pendingPair = pa
-		} else {
-			c.otherDiscards++
-		}
-	}
-	c.mu.Unlock()
-}
-
-// Committed marks one speculation applied to the live grid; the time
-// since the Validated mark is commit (replay) cost.
-//
-//oc:hotpath
-func (c *Collector) Committed(net string) {
-	c.mu.Lock()
-	now := c.clock()
-	if !c.lastMark.IsZero() {
-		if d := now.Sub(c.lastMark).Nanoseconds(); d > 0 {
-			c.commitNS += d
-		}
-	}
-	c.lastMark = now
-	c.committedN++
-	c.mu.Unlock()
-}
-
-// Rerouted marks one discarded speculation's serial re-route finished;
-// the time since the Validated mark is the conflict's serial cost,
-// attributed to the colliding pair when the discard was a window
-// conflict.
-//
-//oc:hotpath
-func (c *Collector) Rerouted(net string, windowConflict bool) {
-	c.mu.Lock()
-	now := c.clock()
-	var d int64
-	if !c.lastMark.IsZero() {
-		d = now.Sub(c.lastMark).Nanoseconds()
-	}
-	if d > 0 {
-		c.rerouteNS += d
-	}
-	c.lastMark = now
-	c.reroutes++
-	if c.pendingPair != nil {
-		if d > 0 {
-			c.pendingPair.rerouteNS += d
-		}
-		c.pendingPair = nil
-	}
-	c.mu.Unlock()
-}
-
-// BatchEnd closes the batch: the sample delta since BatchSpeculated is
-// the validate/commit/re-route window's allocation.
-//
-//oc:hotpath
-func (c *Collector) BatchEnd(speculated, committed, conflicts int) {
-	c.mu.Lock()
-	if c.specDone {
-		s := c.sampler()
-		c.commitDelta = c.commitDelta.Add(s.Sub(c.specS))
-		c.noteLocked(s)
-	}
-	c.specDone = false
-	c.pendingPair = nil
-	c.mu.Unlock()
-}
-
-// Quick returns the list-view counters — resolved worker count, total
-// speculations, total conflict re-routes — without building a report.
-func (c *Collector) Quick() (workers int, speculated, conflicts int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.workers, c.speculated, c.reroutes
 }

@@ -49,29 +49,13 @@ func (f *fakeEnv) collector(run string) *Collector {
 	return New(Options{Run: run, Clock: f.clock, Sampler: f.sampler, Mem: f.mem})
 }
 
-// drive replays one synthetic run — two phases, then one speculation
-// batch with a commit, a window-conflict re-route, and a budget
-// discard — through both the tracer and observer interfaces.
+// drive replays one synthetic two-phase run through the tracer
+// interface.
 func drive(c *Collector) {
-	c.SetWorkers(2)
 	c.Start()
 	c.Emit(obs.Event{Type: obs.EvPhaseStart, Phase: "level-a"})
 	c.Emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "level-a", DurNS: 5e6})
 	c.Emit(obs.Event{Type: obs.EvPhaseStart, Phase: "level-b"})
-
-	c.BatchStart("level-b", 3, 2)
-	c.BatchSpeculated()
-	t0 := time.Unix(1700000000, 0)
-	c.Spec(0, "n1", t0, t0.Add(time.Millisecond), 900, 12, 40, 2)
-	c.Validated("n1", "", true, t0.Add(time.Millisecond))
-	c.Committed("n1")
-	c.Spec(1, "n2", t0, t0.Add(2*time.Millisecond), 900, 7, 30, 1)
-	c.Validated("n2", "n1", false, t0.Add(2*time.Millisecond))
-	c.Rerouted("n2", true)
-	c.Spec(0, "n3", t0, t0.Add(time.Millisecond), 900, 3, 20, 1)
-	c.Validated("n3", "", false, t0.Add(time.Millisecond))
-	c.Rerouted("n3", false)
-	c.BatchEnd(3, 1, 2)
 
 	c.Emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "level-b", DurNS: 9e6})
 	c.Finish()
@@ -98,8 +82,8 @@ func TestReportContents(t *testing.T) {
 	drive(c)
 	r := c.Report()
 
-	if !r.Complete || r.Run != "contents" || r.Workers != 2 {
-		t.Fatalf("header = complete=%v run=%q workers=%d", r.Complete, r.Run, r.Workers)
+	if !r.Complete || r.Run != "contents" {
+		t.Fatalf("header = complete=%v run=%q", r.Complete, r.Run)
 	}
 	if r.WallNS <= 0 {
 		t.Errorf("WallNS = %d, want > 0 under the stepping clock", r.WallNS)
@@ -118,37 +102,6 @@ func TestReportContents(t *testing.T) {
 	// readings bracket it), so its alloc delta is deterministic too.
 	if r.Phases[0].Allocs == 0 {
 		t.Errorf("phase alloc delta = 0, want > 0 under the stepping sampler")
-	}
-
-	pp := r.Parallel
-	if pp == nil {
-		t.Fatal("Parallel = nil after a driven batch")
-	}
-	if pp.Batches != 1 || pp.Speculated != 3 || pp.Committed != 1 ||
-		pp.WindowConf != 1 || pp.OtherDiscards != 1 || pp.Reroutes != 2 {
-		t.Errorf("pipeline counters = %+v", pp)
-	}
-	if pp.SpecNS != 4e6 {
-		t.Errorf("SpecNS = %d, want 4e6 (1ms + 2ms + 1ms)", pp.SpecNS)
-	}
-	if pp.CloneCells != 2700 || pp.BufferedEvents != 22 ||
-		pp.BudgetUsed != 90 || pp.BudgetCharges != 4 {
-		t.Errorf("spec totals = cells %d events %d used %d charges %d",
-			pp.CloneCells, pp.BufferedEvents, pp.BudgetUsed, pp.BudgetCharges)
-	}
-	if pp.DwellNS <= 0 || pp.ValidateNS <= 0 || pp.CommitNS <= 0 || pp.RerouteNS <= 0 {
-		t.Errorf("committer times = dwell %d validate %d commit %d reroute %d, want all > 0",
-			pp.DwellNS, pp.ValidateNS, pp.CommitNS, pp.RerouteNS)
-	}
-	if len(pp.Workers) != 2 || pp.Workers[0].Specs != 2 || pp.Workers[1].Specs != 1 {
-		t.Fatalf("worker detail = %+v", pp.Workers)
-	}
-	if len(pp.ConflictPairs) != 1 || pp.ConflictPairs[0].Earlier != "n1" ||
-		pp.ConflictPairs[0].Later != "n2" || pp.ConflictPairs[0].Count != 1 {
-		t.Fatalf("conflict pairs = %+v", pp.ConflictPairs)
-	}
-	if pp.ConflictPairs[0].RerouteNS <= 0 {
-		t.Errorf("conflict pair reroute = %d, want > 0", pp.ConflictPairs[0].RerouteNS)
 	}
 }
 
@@ -188,25 +141,13 @@ func TestConstantInputsCollapseDurations(t *testing.T) {
 	if r.Phases[0].WallNS != 5e6 {
 		t.Errorf("phase wall = %d, want the event-carried 5e6", r.Phases[0].WallNS)
 	}
-	if pp := r.Parallel; pp.DwellNS != 0 || pp.ValidateNS != 0 || pp.CommitNS != 0 {
-		t.Errorf("constant clock left committer times: %+v", pp)
-	}
-}
-
-func TestQuick(t *testing.T) {
-	c := newFakeEnv().collector("quick")
-	drive(c)
-	w, spec, conf := c.Quick()
-	if w != 2 || spec != 3 || conf != 2 {
-		t.Errorf("Quick = (%d, %d, %d), want (2, 3, 2)", w, spec, conf)
-	}
 }
 
 func TestBenchPhases(t *testing.T) {
 	c := newFakeEnv().collector("bench")
 	drive(c)
 	rows := c.Report().BenchPhases()
-	want := []string{"run", "level-a", "level-b", "parallel/speculate", "parallel/commit"}
+	want := []string{"run", "level-a", "level-b"}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %d, want %d: %+v", len(rows), len(want), rows)
 	}
@@ -215,9 +156,9 @@ func TestBenchPhases(t *testing.T) {
 			t.Errorf("row %d = %q, want %q", i, rows[i].Name, name)
 		}
 	}
-	if rows[0].NsPerOp <= 0 || rows[3].AllocsPerOp == 0 {
-		t.Errorf("rows carry no data: run ns %d, speculate allocs %d",
-			rows[0].NsPerOp, rows[3].AllocsPerOp)
+	if rows[0].NsPerOp <= 0 || rows[1].AllocsPerOp == 0 {
+		t.Errorf("rows carry no data: run ns %d, level-a allocs %d",
+			rows[0].NsPerOp, rows[1].AllocsPerOp)
 	}
 }
 
@@ -226,11 +167,8 @@ func TestTable(t *testing.T) {
 	drive(c)
 	tab := c.Report().Table()
 	for _, want := range []string{
-		"run=table workers=2 (complete)",
+		"run=table (complete)",
 		"level-a", "level-b",
-		"1 batches, 3 speculated, 1 committed, 1 window conflicts, 1 other discards",
-		"worker w0", "worker w1",
-		"conflict n1 -> n2 x1",
 	} {
 		if !strings.Contains(tab, want) {
 			t.Errorf("table missing %q:\n%s", want, tab)
@@ -249,8 +187,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if back.Schema != ReportSchema || back.Parallel == nil {
-		t.Errorf("round-tripped report = schema %d parallel %v", back.Schema, back.Parallel)
+	if back.Schema != ReportSchema || len(back.Phases) != 2 {
+		t.Errorf("round-tripped report = schema %d, %d phases", back.Schema, len(back.Phases))
 	}
 }
 

@@ -1,23 +1,14 @@
 // Package perf is the router's performance-attribution layer: it
-// turns "par4 is 1.9x slower with 3x the allocs" into "the snapshot
-// clones own 61% of the extra allocations and the commit queue adds
-// 40µs of dwell per speculation".
+// splits a run's wall time and allocations across the flow phases.
 //
-// A Collector is attached to a run twice over: as an obs.Tracer it
-// samples the Go runtime's allocation counters at every flow phase
-// boundary, and as the core router's PerfObserver it receives the
-// speculate/validate/commit pipeline's wait-time accounting — per-
-// worker speculation durations, commit-queue dwell, validate and
-// re-route cost, and which net pairs' dilated read windows collided.
-// Report renders the result as deterministic JSON and a human table.
+// A Collector is attached to a run as an obs.Tracer: it samples the Go
+// runtime's allocation counters at every flow phase boundary. Report
+// renders the result as deterministic JSON and a human table.
 //
 // Determinism contract: all inputs that vary between runs — the clock,
 // the runtime sampler, the MemStats reader — are injectable. Under a
 // fixed clock and a fixed sampler the report bytes are identical run
-// to run at every worker count; across different worker counts the
-// phase stratum (event-derived wall times and routing totals) is
-// identical while the parallel stratum legitimately differs (a serial
-// run speculates nothing). See DESIGN.md section 15.
+// to run. See DESIGN.md section 15.
 package perf
 
 import (
@@ -156,7 +147,7 @@ func histTotalNS(v *rm.Value) int64 {
 
 // MemSnap is the heavier run-level runtime.MemStats reading taken once
 // at Start and once at Finish (ReadMemStats stops the world, so it is
-// kept off phase and batch boundaries).
+// kept off phase boundaries).
 type MemSnap struct {
 	TotalAllocBytes uint64
 	Mallocs         uint64

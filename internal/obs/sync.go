@@ -16,7 +16,7 @@ type synced struct {
 // build-time property of every tracer in this package.
 //
 // Use it when one tracer aggregates events from concurrent routing
-// runs (a Writer fed by parallel workers). Tracers that are already
+// runs (a Writer shared by concurrent server jobs). Tracers that are already
 // goroutine-safe — the metrics registry adapter, Collector, Nop —
 // do not need it. A nil or disabled t
 // collapses to Nop so the wrapper never costs a lock when tracing is

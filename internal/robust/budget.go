@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -42,15 +41,9 @@ func (l Limits) Zero() bool {
 // the measured overhead on the headline workloads under 2%.
 const pollStride = 1024
 
-// Budget meters one routing run against a context and Limits. The
-// counters are atomic and the sticky error is set once by
-// compare-and-swap, so a single Budget tolerates concurrent chargers
-// (the parallel level-B driver, a server sharing one run budget across
-// helper goroutines) without a mutex on the hot path: each Charge is
-// one atomic add per reservation batch. Determinism of *which* charge
-// trips a cap is still only guaranteed for a single charger; the
-// parallel router keeps that guarantee by giving every speculative
-// worker its own Fork and reconciling totals at commit time.
+// Budget meters one routing run against a context and Limits. One run
+// goroutine owns a Budget: it is not safe for concurrent use, which
+// keeps Charge on the search hot path to a few plain adds and compares.
 //
 // A nil *Budget is valid everywhere and means "unbounded"; callers
 // thread budgets without nil checks.
@@ -59,11 +52,10 @@ type Budget struct {
 	deadline time.Time // zero = none
 	netMax   int64
 	totalMax int64
-	net      atomic.Int64 // expansions charged since BeginNet
-	total    atomic.Int64 // expansions charged since NewBudget
-	charges  atomic.Int64 // Charge calls accepted (reservation batches)
-	poll     atomic.Int64 // countdown to the next liveness poll
-	sticky   atomic.Pointer[error]
+	net      int64 // expansions charged since BeginNet
+	total    int64 // expansions charged since NewBudget
+	poll     int64 // countdown to the next liveness poll
+	sticky   error // first run-terminating trip; later trips keep it
 }
 
 // NewBudget builds a budget over ctx and l. A nil ctx means
@@ -80,8 +72,8 @@ func NewBudget(ctx context.Context, l Limits) *Budget {
 		deadline: l.Deadline,
 		netMax:   l.NetExpansions,
 		totalMax: l.TotalExpansions,
+		poll:     pollStride,
 	}
-	b.poll.Store(pollStride)
 	if l.Timeout > 0 {
 		if d := time.Now().Add(l.Timeout); b.deadline.IsZero() || d.Before(b.deadline) { //oc:clock-ok timeout budgets are wall-clock by contract
 			b.deadline = d
@@ -93,79 +85,13 @@ func NewBudget(ctx context.Context, l Limits) *Budget {
 	return b
 }
 
-// Fork returns a speculative child budget for routing one net against
-// a snapshot: same context, deadline and per-net cap, fresh counters,
-// and a total allowance equal to the parent's remaining headroom at
-// fork time. Charges against the child never touch the parent; the
-// committer folds them back with Commit once the speculation is
-// validated, or discards them. A nil parent forks to nil (unbounded).
-func (b *Budget) Fork() *Budget {
-	if b == nil {
-		return nil
-	}
-	child := &Budget{ctx: b.ctx, deadline: b.deadline, netMax: b.netMax}
-	child.poll.Store(pollStride)
-	if b.totalMax > 0 {
-		rem := b.totalMax - b.total.Load()
-		if rem > 0 {
-			child.totalMax = rem
-		} else {
-			// Parent sits exactly at its cap: the child's first charge
-			// must trip (a remaining allowance of zero would read as
-			// unbounded).
-			child.totalMax = 1
-			child.total.Store(1)
-		}
-	}
-	return child
-}
-
-// ForkInto is Fork with child reuse: when child is a Budget previously
-// returned by Fork or ForkInto on any parent, it is re-armed in place —
-// counters zeroed, sticky state cleared, total allowance re-derived
-// from b's current headroom — and returned, so a worker that speculates
-// once per batch does not allocate a fresh fork each time. A nil child
-// (or nil b, which forks to nil/unbounded) falls back to Fork. The
-// reset is plain stores on the child's atomics; callers must not reuse
-// a child that other goroutines can still observe.
-func (b *Budget) ForkInto(child *Budget) *Budget {
-	if b == nil {
-		return nil
-	}
-	if child == nil {
-		return b.Fork()
-	}
-	child.ctx = b.ctx
-	child.deadline = b.deadline
-	child.netMax = b.netMax
-	child.totalMax = 0
-	child.net.Store(0)
-	child.total.Store(0)
-	child.charges.Store(0)
-	child.poll.Store(pollStride)
-	child.sticky.Store(nil)
-	if b.totalMax > 0 {
-		rem := b.totalMax - b.total.Load()
-		if rem > 0 {
-			child.totalMax = rem
-		} else {
-			// Parent sits exactly at its cap: the child's first charge
-			// must trip (a remaining allowance of zero would read as
-			// unbounded).
-			child.totalMax = 1
-			child.total.Store(1)
-		}
-	}
-	return child
-}
-
 // BeginNet opens a new per-net accounting window: the per-net
 // expansion counter resets, the run-wide counters continue.
 func (b *Budget) BeginNet() {
 	if b == nil {
 		return
 	}
-	b.net.Store(0)
+	b.net = 0
 }
 
 // Charge spends n units of search work (one unit per search-tree node
@@ -177,62 +103,34 @@ func (b *Budget) Charge(n int) error {
 	if b == nil {
 		return nil
 	}
-	if p := b.sticky.Load(); p != nil {
-		return *p
+	if b.sticky != nil {
+		return b.sticky
 	}
 	nn := int64(n)
-	b.charges.Add(1)
-	net := b.net.Add(nn)
-	total := b.total.Add(nn)
-	if b.totalMax > 0 && total > b.totalMax {
+	b.net += nn
+	b.total += nn
+	if b.totalMax > 0 && b.total > b.totalMax {
 		return b.trip(fmt.Errorf("total budget of %d expansions exhausted: %w",
 			b.totalMax, ErrBudgetExhausted))
 	}
-	if b.netMax > 0 && net > b.netMax {
+	if b.netMax > 0 && b.net > b.netMax {
 		return fmt.Errorf("per-net budget of %d expansions exhausted: %w",
 			b.netMax, ErrBudgetExhausted)
 	}
-	if b.poll.Add(-nn) <= 0 {
-		// A racy reset can double-poll under concurrent chargers; polls
-		// are idempotent, so an extra one is harmless.
-		b.poll.Store(pollStride)
+	if b.poll -= nn; b.poll <= 0 {
+		b.poll = pollStride
 		return b.checkLive()
 	}
 	return nil
 }
 
-// CanCommit reports whether folding n more charged expansions into the
-// run total stays within the total cap — i.e. whether a serial run of
-// the same work from the current total would have completed without a
-// sticky total-cap trip. The parallel committer uses it to decide
-// between committing a speculation and re-running the net serially.
-func (b *Budget) CanCommit(n int64) bool {
-	if b == nil || b.totalMax <= 0 {
-		return true
-	}
-	return b.total.Load()+n <= b.totalMax
-}
-
-// Commit folds n expansions charged to a validated speculative Fork
-// into the run totals, as one atomic reservation batch. The per-net
-// counter is set to n (the committed net's own spend), mirroring what
-// BeginNet-plus-incremental charging would have left behind. Callers
-// must gate on CanCommit first; Commit itself never trips.
-func (b *Budget) Commit(n int64) {
-	if b == nil || n == 0 {
-		return
-	}
-	b.total.Add(n)
-	b.net.Store(n)
-}
-
 // trip records a sticky run-terminating error exactly once; the first
 // caller wins and later trips observe the original cause.
 func (b *Budget) trip(err error) error {
-	if b.sticky.CompareAndSwap(nil, &err) {
-		return err
+	if b.sticky == nil {
+		b.sticky = err
 	}
-	return *b.sticky.Load()
+	return b.sticky
 }
 
 // Err reports the budget's sticky state, polling the context and the
@@ -242,8 +140,8 @@ func (b *Budget) Err() error {
 	if b == nil {
 		return nil
 	}
-	if p := b.sticky.Load(); p != nil {
-		return *p
+	if b.sticky != nil {
+		return b.sticky
 	}
 	return b.checkLive()
 }
@@ -273,7 +171,7 @@ func (b *Budget) Used() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.total.Load()
+	return b.total
 }
 
 // NetUsed returns the expansions charged since the last BeginNet.
@@ -281,18 +179,5 @@ func (b *Budget) NetUsed() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.net.Load()
-}
-
-// Charges returns the number of Charge calls accepted past the sticky
-// gate — the budget's reservation-batch traffic. The perf attribution
-// layer reads it off each speculative fork as a contention proxy: one
-// charge is one atomic add on the shared-budget path, so fork charge
-// counts bound what the workers would otherwise have inflicted on one
-// shared budget.
-func (b *Budget) Charges() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.charges.Load()
+	return b.net
 }

@@ -48,7 +48,7 @@ func TestRetryClassificationTable(t *testing.T) {
 	var err error
 	func() {
 		defer Recover("level-b", &err)
-		panic("speculation table corrupt")
+		panic("routing table corrupt")
 	}()
 	if !Retryable(err) {
 		t.Errorf("recovered panic %v not retryable", err)

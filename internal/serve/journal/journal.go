@@ -112,7 +112,6 @@ type RunOpts struct {
 	TotalBudget int64 `json:"total_budget,omitempty"`
 	Partial     bool  `json:"partial,omitempty"`
 	HeatWin     int   `json:"heat_win,omitempty"`
-	Workers     int   `json:"workers,omitempty"`
 }
 
 // ResultRecord is the persisted summary of a finished run — the same

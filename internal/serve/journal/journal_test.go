@@ -29,7 +29,7 @@ func accepted(id string) *Record {
 		Kind: KindAccepted, Run: id, Flow: "proposed", Name: "tiny",
 		Instance:     json.RawMessage(`{"name":"tiny"}`),
 		InstanceHash: "abc123",
-		Opts:         &RunOpts{Workers: 2, Partial: true},
+		Opts:         &RunOpts{HeatWin: 2, Partial: true},
 		Time:         time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
 	}
 }

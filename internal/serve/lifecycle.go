@@ -186,7 +186,6 @@ func (s *Server) requeue(st *journal.RunState) bool {
 		Flow: st.Flow, DeadlineMS: st.Opts.DeadlineMS,
 		NetBudget: st.Opts.NetBudget, TotalBudget: st.Opts.TotalBudget,
 		Partial: st.Opts.Partial, HeatWin: st.Opts.HeatWin,
-		Workers: st.Opts.Workers,
 	}
 	s.recovered["requeued"].Inc()
 	s.log.Info("run requeued from journal",

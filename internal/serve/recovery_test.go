@@ -7,11 +7,14 @@ package serve
 // (the CI chaos-smoke job does the real kill -9 against the binary).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -124,6 +127,70 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecoverLegacyWorkersOpt replays a journal written by an older
+// server, whose accepted records carried a "workers" option that no
+// longer exists: the run must requeue and finish with the same result
+// hash as an uninterrupted run of the same payload.
+func TestRecoverLegacyWorkersOpt(t *testing.T) {
+	inst := testInstance(t)
+	ref := New(Config{})
+	tsRef := httptest.NewServer(ref.Handler())
+	_, refSt, raw := postRun(t, tsRef.URL, "?flow=proposed&wait=1", inst)
+	tsRef.Close()
+	if refSt.State != StateDone || refSt.ResultHash == "" {
+		t.Fatalf("reference run = %+v (%s)", refSt, raw)
+	}
+
+	gi, err := gen.ReadJSON(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := gi.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := json.Compact(&payload, canon); err != nil {
+		t.Fatal(err)
+	}
+	// An accepted-then-started run, framed as "<len> <crc32> <json>".
+	var wal bytes.Buffer
+	for _, rec := range []string{
+		fmt.Sprintf(`{"kind":"accepted","run":"run-1","time":"2026-01-02T03:04:05Z","flow":"proposed",`+
+			`"name":%q,"instance":%s,"instance_hash":%q,"opts":{"workers":4}}`,
+			gi.Name, payload.Bytes(), gen.HashBytes(canon)),
+		`{"kind":"started","run":"run-1","time":"2026-01-02T03:04:06Z","attempt":1}`,
+	} {
+		fmt.Fprintf(&wal, "%d %08x %s\n", len(rec), crc32.ChecksumIEEE([]byte(rec)), rec)
+	}
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	if err := os.WriteFile(path, wal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rep := openJournal(t, path)
+	defer j.Close()
+	s := New(Config{Journal: j})
+	finished, requeued, failed := s.Recover(rep)
+	if finished != 0 || requeued != 1 || failed != 0 {
+		t.Fatalf("Recover = %d finished, %d requeued, %d failed; want 0/1/0",
+			finished, requeued, failed)
+	}
+	if !s.Wait("run-1") {
+		t.Fatal("requeued run-1 unknown to recovered server")
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	st := getStatus(t, ts.URL+"/runs/run-1")
+	if st.State != StateDone || !st.Recovered {
+		t.Fatalf("recovered run = state %s recovered %v (err %q)", st.State, st.Recovered, st.Error)
+	}
+	if st.InstanceHash != refSt.InstanceHash || st.ResultHash != refSt.ResultHash {
+		t.Fatalf("legacy journal replay = instance %s result %s, reference %s / %s",
+			st.InstanceHash, st.ResultHash, refSt.InstanceHash, refSt.ResultHash)
+	}
+}
+
 // TestDrainLifecycle walks the graceful-shutdown sequence: StartDrain
 // flips healthz and admission to 503, DrainWait reports the stuck run
 // at its deadline, and Checkpoint journals it as interrupted so the
@@ -218,7 +285,7 @@ func TestRetrySupervision(t *testing.T) {
 	var flakyCalls, doomedCalls atomic.Int32
 	s.flows["flaky"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
 		if flakyCalls.Add(1) <= 2 {
-			return nil, fmt.Errorf("phantom speculation conflict: %w", robust.ErrInternal)
+			return nil, fmt.Errorf("phantom routing conflict: %w", robust.ErrInternal)
 		}
 		return flow.Proposed(in, opt)
 	}

@@ -21,7 +21,7 @@
 // object {"flow": ..., "instance": {...}, ...}; the flow, budget and
 // wait knobs can also arrive as query parameters (?flow=proposed&
 // wait=1&deadline_ms=500&net_budget=N&total_budget=N&partial=1&
-// heat_win=8&workers=4), which override the body. Each run executes the chosen
+// heat_win=8), which override the body. Each run executes the chosen
 // flow under a robust.Budget bound to a context: asynchronous runs
 // are scoped to the server's lifetime, while ?wait=1 runs are scoped
 // to the HTTP request itself — client disconnect cancels the routing
@@ -38,7 +38,7 @@
 // per-run stream.Broker (the /runs/{id}/events SSE fan-out) and a
 // per-run congest.Series (the /runs/{id}/congestion time-series,
 // sampled at net commit boundaries). Runs execute under pprof labels
-// (run, phase, worker, net), so profiles captured via /debug/pprof
+// (run, phase), so profiles captured via /debug/pprof
 // while a job routes are attributable. Config.StreamCap = -1 turns the
 // stream and congestion observers off entirely, restoring the PR 8
 // tracer chain.
@@ -99,11 +99,6 @@ type Config struct {
 	// BaseCtx scopes asynchronous runs; nil means context.Background().
 	// Cancelling it cancels every active run.
 	BaseCtx context.Context
-	// Workers is the default level B speculative worker count applied
-	// to runs that do not carry their own ?workers= override. 0 keeps
-	// the router default (GOMAXPROCS); 1 forces serial routing.
-	// Routing results are identical either way.
-	Workers int
 	// Journal, when non-nil, makes the run lifecycle durable: every
 	// accepted payload and state transition is appended, so a
 	// restarted server can reconstruct finished runs and requeue the
@@ -169,10 +164,10 @@ type Server struct {
 
 	// Live-telemetry families (PR 9): the event-stream fan-out and the
 	// commit-boundary congestion series.
-	streamEvents  *metrics.Counter // published to run brokers, folded at run end
-	streamDropped *metrics.Counter // slow-subscriber drops, counted as observed
-	streamSubs    *metrics.Gauge   // currently attached SSE subscribers
-	queueWait     *metrics.Histogram
+	streamEvents   *metrics.Counter // published to run brokers, folded at run end
+	streamDropped  *metrics.Counter // slow-subscriber drops, counted as observed
+	streamSubs     *metrics.Gauge   // currently attached SSE subscribers
+	queueWait      *metrics.Histogram
 	congestSamples *metrics.Counter
 	congestPeak    *metrics.Gauge
 	congestOver    *metrics.Gauge
@@ -184,13 +179,6 @@ type Server struct {
 	// appear in /metrics before the first run completes.
 	perfPhaseWall   map[string]*metrics.Counter
 	perfPhaseAllocs map[string]*metrics.Counter
-	perfSpecAllocs  *metrics.Counter
-	perfCommAllocs  *metrics.Counter
-	perfDwellNS     *metrics.Counter
-	perfValidateNS  *metrics.Counter
-	perfCommitNS    *metrics.Counter
-	perfRerouteNS   *metrics.Counter
-	perfWindowConf  *metrics.Counter
 
 	mu     sync.Mutex
 	runs   map[string]*run
@@ -302,20 +290,6 @@ func New(cfg Config) *Server {
 		s.perfPhaseAllocs[ph] = reg.Counter("ocroute_perf_phase_allocs_total",
 			"Heap allocations attributed to each flow phase by the perf layer.", metrics.L("phase", ph))
 	}
-	s.perfSpecAllocs = reg.Counter("ocroute_perf_speculation_allocs_total",
-		"Heap allocations inside parallel speculation windows (clones, forks, buffered tracers, routing).")
-	s.perfCommAllocs = reg.Counter("ocroute_perf_commit_allocs_total",
-		"Heap allocations inside the serial validate/commit/re-route windows.")
-	s.perfDwellNS = reg.Counter("ocroute_perf_commit_queue_dwell_ns_total",
-		"Total time finished speculations waited for the serial committer.")
-	s.perfValidateNS = reg.Counter("ocroute_perf_validate_ns_total",
-		"Committer time spent validating speculative read windows.")
-	s.perfCommitNS = reg.Counter("ocroute_perf_commit_ns_total",
-		"Committer time spent replaying validated speculations onto the live grid.")
-	s.perfRerouteNS = reg.Counter("ocroute_perf_reroute_ns_total",
-		"Committer time spent serially re-routing discarded speculations.")
-	s.perfWindowConf = reg.Counter("ocroute_perf_window_conflicts_total",
-		"Speculations discarded because an earlier commit touched their dilated read window.")
 	s.streamEvents = reg.Counter("ocserved_stream_events_total",
 		"Events published to run event-stream brokers, folded in as each run finishes.")
 	s.streamDropped = reg.Counter("ocserved_stream_dropped_total",
@@ -408,7 +382,6 @@ type jobRequest struct {
 	TotalBudget int64           `json:"total_budget"`
 	Partial     bool            `json:"partial"`
 	HeatWin     int             `json:"heat_win"`
-	Workers     int             `json:"workers"`
 	Wait        bool            `json:"wait"`
 }
 
@@ -460,14 +433,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.HeatWin = n
-	}
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			http.Error(w, "bad workers: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		req.Workers = n
 	}
 	if v := q.Get("partial"); v != "" {
 		req.Partial = v == "1" || v == "true"
@@ -551,7 +516,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Opts: &journal.RunOpts{
 			DeadlineMS: req.DeadlineMS, NetBudget: req.NetBudget,
 			TotalBudget: req.TotalBudget, Partial: req.Partial,
-			HeatWin: req.HeatWin, Workers: req.Workers,
+			HeatWin: req.HeatWin,
 		},
 	})
 	for _, eid := range evicted {
@@ -620,16 +585,12 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 			Timeout:         time.Duration(req.DeadlineMS) * time.Millisecond,
 		},
 		AllowPartial: req.Partial,
-		Workers:      req.Workers,
 		// Performance attribution: per-run collector, pprof labels so
 		// /debug/pprof profiles captured during the run attribute per
-		// phase and worker.
+		// phase.
 		Perf:          ru.perf,
 		RunID:         ru.id,
 		ProfileLabels: true,
-	}
-	if opts.Workers == 0 {
-		opts.Workers = s.cfg.Workers
 	}
 	if ru.series != nil {
 		opts.Congest = &congestObserver{series: ru.series, s: s}
@@ -815,15 +776,6 @@ func (s *Server) foldPerf(rep *perf.Report) {
 		wall.Add(p.WallNS)
 		allocs.Add(int64(p.Allocs))
 	}
-	if pp := rep.Parallel; pp != nil {
-		s.perfSpecAllocs.Add(int64(pp.SpecAllocs))
-		s.perfCommAllocs.Add(int64(pp.CommitAllocs))
-		s.perfDwellNS.Add(pp.DwellNS)
-		s.perfValidateNS.Add(pp.ValidateNS)
-		s.perfCommitNS.Add(pp.CommitNS)
-		s.perfRerouteNS.Add(pp.RerouteNS)
-		s.perfWindowConf.Add(pp.WindowConf)
-	}
 }
 
 // pendingLocked counts runs still queued for a routing slot. Caller
@@ -899,15 +851,8 @@ type RunStatus struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// DurationMS is the elapsed routing time: started to finished, or
 	// started to now for a run still going. 0 while pending.
-	DurationMS int64 `json:"duration_ms,omitempty"`
-	// Workers is the resolved speculative worker count; Speculations
-	// and Conflicts are the parallel pipeline's running totals. They
-	// let an operator spot pathological runs (huge conflict ratios,
-	// unexpected serial fallbacks) straight from the list view.
-	Workers      int           `json:"workers,omitempty"`
-	Speculations int64         `json:"speculations,omitempty"`
-	Conflicts    int64         `json:"conflicts,omitempty"`
-	Result       *RunResult    `json:"result,omitempty"`
+	DurationMS int64      `json:"duration_ms,omitempty"`
+	Result     *RunResult `json:"result,omitempty"`
 	// StreamEvents / StreamDropped report the run's event-stream fan-out:
 	// events published to the broker and events dropped across all
 	// subscribers that fell behind the ring buffer. Zero when streaming
@@ -949,7 +894,6 @@ func (s *Server) status(ru *run, detail bool) RunStatus {
 		st.StreamEvents, st.StreamDropped, _ = ru.broker.Stats()
 	}
 	s.mu.Unlock()
-	st.Workers, st.Speculations, st.Conflicts = ru.perf.Quick()
 	if detail {
 		sum := span.Summarise(ru.builder.Snapshot())
 		st.Spans = &sum

@@ -189,8 +189,7 @@ func dropNotice(reason string) []byte {
 // handleCongestion serves the run's congestion time-series as JSON.
 // ?frames=1 includes the per-tile occupancy frames (one int slice per
 // sample) on top of the per-net summary samples. The payload is
-// deterministic: byte-identical for a given instance at every worker
-// count.
+// deterministic: byte-identical for a given instance.
 func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	ru := s.lookup(w, r)
 	if ru == nil {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -277,59 +276,6 @@ func TestSSECursorOutOfRange(t *testing.T) {
 				t.Fatalf("replay-from-start delivered %d messages, want the full %d", len(rest), len(base))
 			}
 		})
-	}
-}
-
-var sseDurField = regexp.MustCompile(`,"dur_ns":\d+`)
-
-// sseNormalize reduces a parsed stream to its deterministic content:
-// sequence ids dropped (parallel batch events consume sequence numbers
-// at workers > 1), EvParallel summaries dropped (a serial run cannot
-// emit them), wall times stripped.
-func sseNormalize(msgs []sseMsg) string {
-	var b strings.Builder
-	for _, m := range msgs {
-		if m.event == "parallel" {
-			continue
-		}
-		b.WriteString(m.event)
-		b.WriteByte(' ')
-		b.WriteString(sseDurField.ReplaceAllString(m.data, ""))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TestSSEStreamWorkerEquivalence extends the router's determinism
-// contract to the streaming surface: after normalisation, the SSE
-// payload of a parallel run is byte-identical to the serial run's.
-func TestSSEStreamWorkerEquivalence(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	inst := testInstance(t)
-
-	streamOf := func(query string) string {
-		_, st, raw := postRun(t, ts.URL, query, inst)
-		if st.State != StateDone {
-			t.Fatalf("run %s = %s %.200s", query, st.State, raw)
-		}
-		return sseNormalize(getSSE(t, ts.URL+"/runs/"+st.ID+"/events", ""))
-	}
-	serial := streamOf("?flow=proposed&wait=1&workers=1")
-	par := streamOf("?flow=proposed&wait=1&workers=4")
-	if serial != par {
-		a, b := strings.Split(serial, "\n"), strings.Split(par, "\n")
-		for i := range a {
-			other := "<missing>"
-			if i < len(b) {
-				other = b[i]
-			}
-			if a[i] != other {
-				t.Fatalf("streams diverge at line %d:\n  serial:   %s\n  parallel: %s", i+1, a[i], other)
-			}
-		}
-		t.Fatalf("streams differ in length: %d vs %d lines", len(a), len(b))
 	}
 }
 

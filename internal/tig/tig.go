@@ -379,8 +379,8 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 // Searcher owns the reusable scratch of an MBFS: the path-selection-
 // tree node arena, the flat epoch-stamped visited arrays that replace
 // a per-search map, the frontier queues, and the path reconstruction
-// buffers. A Searcher is not safe for concurrent use; the parallel
-// router keeps one per worker.
+// buffers. A Searcher is not safe for concurrent use; the router keeps
+// one per Route call.
 type Searcher struct {
 	// Per-call search view.
 	s        Surface
