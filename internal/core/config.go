@@ -163,8 +163,8 @@ func (c *Config) ripupVictims() int {
 // EffectiveWorkers returns 1: level B routes one net at a time.
 //
 // Deprecated: the router has no worker pool. EffectiveWorkers exists
-// only so that the benchmark under bench/, which also measures older
-// checkouts, keeps compiling.
+// only so that the benchmark under bench/, which must also build
+// against older checkouts, keeps compiling.
 func (c *Config) EffectiveWorkers() int { return 1 }
 
 // DefaultExpansions widen the window gently before falling back to the

@@ -91,7 +91,7 @@ type Options struct {
 	// Workers is ignored: level B routes one net at a time.
 	//
 	// Deprecated: Workers exists only so that the benchmark under bench/,
-	// which also measures older checkouts, keeps compiling.
+	// which must also build against older checkouts, keeps compiling.
 	Workers int
 	// Perf attaches a performance-attribution collector to the run: it
 	// joins the tracer chain, so phase boundaries trigger its runtime

@@ -21,7 +21,7 @@ type Report struct {
 	// Workers is never set.
 	//
 	// Deprecated: Workers exists only so that the benchmark under bench/,
-	// which also reads reports of older checkouts, keeps compiling.
+	// which must also build against older checkouts, keeps compiling.
 	Workers int `json:"workers,omitempty"`
 	// Complete is false for a mid-run snapshot (Finish not yet called).
 	Complete bool  `json:"complete"`
@@ -36,7 +36,7 @@ type Report struct {
 	// Parallel is never set.
 	//
 	// Deprecated: Parallel exists only so that the benchmark under
-	// bench/, which also reads reports of older checkouts, keeps
+	// bench/, which must also build against older checkouts, keeps
 	// compiling.
 	Parallel *ParallelReport `json:"parallel,omitempty"`
 }
@@ -75,7 +75,8 @@ type PhaseReport struct {
 // ParallelReport is the speculation summary older checkouts reported.
 //
 // Deprecated: ParallelReport exists only so that the benchmark under
-// bench/, which also reads reports of older checkouts, keeps compiling.
+// bench/, which must also build against older checkouts, keeps
+// compiling.
 type ParallelReport struct {
 	Speculated int64 `json:"speculated"`
 	Committed  int64 `json:"committed"`

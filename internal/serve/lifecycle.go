@@ -148,8 +148,8 @@ func (s *Server) requeue(st *journal.RunState) bool {
 		id: st.ID, flowName: st.Flow, instance: st.Name,
 		state: StatePending, submitted: st.Accepted,
 		instHash: st.InstanceHash, recovered: true,
-		heatWin: st.Opts.HeatWin,
-		done:    make(chan struct{}),
+		heatWin:   st.Opts.HeatWin,
+		done:      make(chan struct{}),
 		builder:   span.NewBuilder(st.ID, nil),
 		collector: obs.NewCollector(),
 		perf:      perf.New(perf.Options{Run: st.ID}),
