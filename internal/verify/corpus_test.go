@@ -440,9 +440,9 @@ func connectivity(res *core.Result, _ []verify.Region) error { return verify.Con
 // corpusPerKind is the number of corruptions of each kind per base.
 func corpusPerKind() int {
 	if testing.Short() {
-		return 4
+		return 3
 	}
-	return 20
+	return 10
 }
 
 func TestCorpusBasesVerifyClean(t *testing.T) {

@@ -3,10 +3,19 @@
 // flows run these checks on every result, so a routing bug surfaces as
 // a loud error instead of silently corrupt geometry; the test suites
 // additionally keep their own independent oracles.
+//
+// The checks are flat. A segment is an interval of grid points on its
+// (layer, track), and a via or terminal stack is a one-point interval
+// on each layer, so a check sorts and sweeps intervals instead of
+// visiting grid points: O(k log k) time and O(k) storage per call, for
+// k segments, vias and terminals. verify builds its own view of the
+// geometry from the result and never consults the router's grid.
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"overcell/internal/core"
 	"overcell/internal/geom"
@@ -14,137 +23,294 @@ import (
 	"overcell/internal/tig"
 )
 
+// The two routing layers: horizontal wires run on layerH, vertical
+// wires on layerV.
+const (
+	layerH = iota
+	layerV
+)
+
+func layerOf(s core.Segment) int {
+	if s.Horizontal {
+		return layerH
+	}
+	return layerV
+}
+
+// point returns the grid point at position k along a track of layer.
+func point(layer, track, k int) tig.Point {
+	if layer == layerH {
+		return tig.Point{Col: k, Row: track}
+	}
+	return tig.Point{Col: track, Row: k}
+}
+
+// span is the grid points lo..hi along one track of one layer.
+type span struct {
+	layer, track, lo, hi int
+}
+
+// byTrack orders spans by layer, track and first point.
+func byTrack(a, b span) int {
+	if c := cmp.Compare(a.layer, b.layer); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.track, b.track); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
+}
+
+// kind names what a claim is in a conflict error.
+type kind uint8
+
+const (
+	wire kind = iota
+	via
+	terminal
+)
+
+func (k kind) String() string {
+	switch k {
+	case via:
+		return "via"
+	case terminal:
+		return "terminal"
+	}
+	return "wire"
+}
+
+// claim is one span of a net's metal. order is its place in the
+// sequence the routes list their metal in: route by route, segments,
+// then vias, then terminals, each stack's horizontal layer first.
+type claim struct {
+	span
+	net   netlist.NetID
+	route int // index into Result.Routes
+	order int
+	kind  kind
+}
+
+// conflict is a grid point a claim shares with a foreign net's earlier
+// metal; prev is the route that claimed the point last before it.
+type conflict struct {
+	cur       claim
+	pos, prev int
+}
+
+// before orders conflicts as a point-by-point walk of the claims meets
+// them: by claim order, then by position along the claim.
+func (c conflict) before(o conflict) bool {
+	return c.cur.order < o.cur.order || c.cur.order == o.cur.order && c.pos < o.pos
+}
+
 // Conflicts checks the inter-net design rules over a level B result:
 // no two nets may occupy the same (grid point, layer); vias and
 // terminal stacks occupy both layers at their point. Failed nets'
-// partial geometry participates: it is committed metal.
+// partial geometry participates: it is committed metal. Nets are
+// told apart by Net.ID, so two routes of one net may overlap.
+//
+// The claims are sorted by track and swept once; only a track that
+// holds two nets' metal on one point is replayed point by point, to
+// name the first conflict in claim order.
 func Conflicts(res *core.Result) error {
-	type claim struct {
-		id   netlist.NetID
-		name string
-	}
-	layerH := map[tig.Point]claim{}
-	layerV := map[tig.Point]claim{}
-	occupy := func(m map[tig.Point]claim, p tig.Point, c claim, what string) error {
-		if prev, ok := m[p]; ok && prev.id != c.id {
-			return fmt.Errorf("verify: %s conflict at %v between %q and %q", what, p, prev.name, c.name)
-		}
-		m[p] = c
-		return nil
-	}
+	n := 0
 	for _, nr := range res.Routes {
-		c := claim{nr.Net.ID, nr.Net.Name}
+		n += len(nr.Segments) + 2*len(nr.Vias) + 2*len(nr.Terminals)
+	}
+	claims := make([]claim, 0, n)
+	add := func(s span, net netlist.NetID, route int, k kind) {
+		claims = append(claims, claim{s, net, route, len(claims), k})
+	}
+	for ri, nr := range res.Routes {
+		id := nr.Net.ID
 		for _, s := range nr.Segments {
-			for k := s.Lo; k <= s.Hi; k++ {
-				p := tig.Point{Col: k, Row: s.Track}
-				m := layerH
-				if !s.Horizontal {
-					p = tig.Point{Col: s.Track, Row: k}
-					m = layerV
-				}
-				if err := occupy(m, p, c, "wire"); err != nil {
-					return err
-				}
+			if s.Lo <= s.Hi {
+				add(span{layerOf(s), s.Track, s.Lo, s.Hi}, id, ri, wire)
 			}
 		}
-		for _, v := range nr.Vias {
-			if err := occupy(layerH, v, c, "via"); err != nil {
-				return err
-			}
-			if err := occupy(layerV, v, c, "via"); err != nil {
-				return err
-			}
+		for _, p := range nr.Vias {
+			add(span{layerH, p.Row, p.Col, p.Col}, id, ri, via)
+			add(span{layerV, p.Col, p.Row, p.Row}, id, ri, via)
 		}
 		for _, p := range nr.Terminals {
-			if err := occupy(layerH, p, c, "terminal"); err != nil {
-				return err
-			}
-			if err := occupy(layerV, p, c, "terminal"); err != nil {
-				return err
-			}
+			add(span{layerH, p.Row, p.Col, p.Col}, id, ri, terminal)
+			add(span{layerV, p.Col, p.Row, p.Row}, id, ri, terminal)
 		}
 	}
-	return nil
+	slices.SortFunc(claims, func(a, b claim) int { return byTrack(a.span, b.span) })
+	var first conflict
+	found := false
+	for lo := 0; lo < len(claims); {
+		hi := lo + 1
+		for hi < len(claims) && claims[hi].layer == claims[lo].layer && claims[hi].track == claims[lo].track {
+			hi++
+		}
+		if track := claims[lo:hi]; sharesForeign(track) {
+			if c := firstConflict(track); !found || c.before(first) {
+				first, found = c, true
+			}
+		}
+		lo = hi
+	}
+	if !found {
+		return nil
+	}
+	c := first.cur
+	return fmt.Errorf("verify: %s conflict at %v between %q and %q", c.kind,
+		point(c.layer, c.track, first.pos), res.Routes[first.prev].Net.Name, res.Routes[c.route].Net.Name)
+}
+
+// sharesForeign reports whether two nets' claims on one track, sorted
+// by first point, share a grid point. It follows the claim reaching
+// furthest and the furthest reach of any other net: a claim overlaps a
+// foreign one iff it starts at or before the foreign net's reach.
+func sharesForeign(track []claim) bool {
+	reach, owner := track[0].hi, track[0].net
+	other, hasOther := 0, false
+	for _, c := range track[1:] {
+		if c.net != owner && c.lo <= reach || c.net == owner && hasOther && c.lo <= other {
+			return true
+		}
+		switch {
+		case c.hi > reach && c.net != owner:
+			other, hasOther = reach, true
+			reach, owner = c.hi, c.net
+		case c.hi > reach:
+			reach = c.hi
+		case c.net != owner && (!hasOther || c.hi > other):
+			other, hasOther = c.hi, true
+		}
+	}
+	return false
+}
+
+// firstConflict replays a track's claims in claim order over a dense
+// occupancy slice, as a walk over every point would, and returns the
+// first conflict. The track must hold one (sharesForeign).
+func firstConflict(track []claim) conflict {
+	slices.SortFunc(track, func(a, b claim) int { return cmp.Compare(a.order, b.order) })
+	lo, hi := track[0].lo, track[0].hi
+	for _, c := range track[1:] {
+		lo, hi = min(lo, c.lo), max(hi, c.hi)
+	}
+	last := make([]int, hi-lo+1) // 1 + index in track of the point's latest claim
+	for i, c := range track {
+		for k := c.lo; k <= c.hi; k++ {
+			if prev := last[k-lo]; prev != 0 && track[prev-1].net != c.net {
+				return conflict{c, k, track[prev-1].route}
+			}
+			last[k-lo] = i + 1
+		}
+	}
+	panic("verify: track without a conflict replayed")
 }
 
 // Connectivity checks that every successfully routed net electrically
 // links all its terminals. Connectivity is layer-aware: wire points
 // connect along their own layer; vias and terminal stacks bridge the
 // layers at their point; perpendicular same-net crossings without a
-// via do NOT connect.
+// via do NOT connect. Spans on one track join only when they share a
+// grid point, so [0,3] and [4,6] stay apart.
 func Connectivity(res *core.Result) error {
+	// Size the scratch for the largest net, so a call allocates the
+	// same few slices however many nets it checks.
+	most := 0
 	for _, nr := range res.Routes {
-		if nr.Err != nil {
+		if nr.Err == nil && len(nr.Terminals) >= 2 {
+			most = max(most, len(nr.Segments)+len(nr.Vias)+len(nr.Terminals))
+		}
+	}
+	if most == 0 {
+		return nil
+	}
+	u := unionFind{
+		parent: make([]int, 0, most),
+		spans:  make([]elemSpan, 0, 2*most),
+	}
+	for _, nr := range res.Routes {
+		if nr.Err != nil || len(nr.Terminals) < 2 {
 			continue
 		}
-		if err := netConnected(nr); err != nil {
+		if err := u.net(nr); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func netConnected(nr *core.NetRoute) error {
-	if len(nr.Terminals) < 2 {
-		return nil
+// elemSpan is a span of one element of a net: a segment, or one layer
+// of a via or terminal stack.
+type elemSpan struct {
+	span
+	elem int
+}
+
+// unionFind is Connectivity's scratch, reused across the nets of a
+// call: a disjoint-set forest over a net's segments, vias and
+// terminals, and the spans they cover.
+type unionFind struct {
+	parent []int
+	spans  []elemSpan
+}
+
+func (u *unionFind) fresh() int {
+	u.parent = append(u.parent, len(u.parent))
+	return len(u.parent) - 1
+}
+
+func (u *unionFind) find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
 	}
-	type node struct {
-		p     tig.Point
-		layer int
-	}
-	owner := map[node]int{}
-	parent := []int{}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	add := func(nd node, comp int) {
-		if prev, ok := owner[nd]; ok {
-			union(prev, comp)
-		} else {
-			owner[nd] = comp
-		}
-	}
-	fresh := func() int {
-		parent = append(parent, len(parent))
-		return len(parent) - 1
-	}
+	return x
+}
+
+func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
+
+// stack adds a via or terminal stack at p: one element on both layers.
+func (u *unionFind) stack(p tig.Point) {
+	e := u.fresh()
+	u.spans = append(u.spans, elemSpan{span{layerH, p.Row, p.Col, p.Col}, e}, elemSpan{span{layerV, p.Col, p.Row, p.Row}, e})
+}
+
+// net checks one net: it joins the elements whose spans share a grid
+// point on a layer, then requires every terminal in the first one's
+// set.
+func (u *unionFind) net(nr *core.NetRoute) error {
+	u.parent, u.spans = u.parent[:0], u.spans[:0]
 	for _, s := range nr.Segments {
-		comp := fresh()
-		layer := 1
-		if s.Horizontal {
-			layer = 0
+		e := u.fresh()
+		if s.Lo <= s.Hi {
+			u.spans = append(u.spans, elemSpan{span{layerOf(s), s.Track, s.Lo, s.Hi}, e})
 		}
-		for k := s.Lo; k <= s.Hi; k++ {
-			p := tig.Point{Col: k, Row: s.Track}
-			if !s.Horizontal {
-				p = tig.Point{Col: s.Track, Row: k}
+	}
+	for _, p := range nr.Vias {
+		u.stack(p)
+	}
+	term0 := len(u.parent)
+	for _, p := range nr.Terminals {
+		u.stack(p)
+	}
+	slices.SortFunc(u.spans, func(a, b elemSpan) int { return byTrack(a.span, b.span) })
+	// Sweeping a track by first point, a span shares a point with an
+	// earlier one iff it starts at or before the furthest reach so far,
+	// and then it shares one with the span holding that reach.
+	var reach, holder int
+	for i, s := range u.spans {
+		if i > 0 && s.layer == u.spans[i-1].layer && s.track == u.spans[i-1].track && s.lo <= reach {
+			u.union(s.elem, holder)
+			if s.hi > reach {
+				reach, holder = s.hi, s.elem
 			}
-			add(node{p, layer}, comp)
+			continue
 		}
+		reach, holder = s.hi, s.elem
 	}
-	bridge := func(p tig.Point) {
-		comp := fresh()
-		add(node{p, 0}, comp)
-		add(node{p, 1}, comp)
-	}
-	for _, v := range nr.Vias {
-		bridge(v)
-	}
-	for _, p := range nr.Terminals {
-		bridge(p)
-	}
-	root := -1
-	for _, p := range nr.Terminals {
-		comp := find(owner[node{p, 0}])
-		if root == -1 {
-			root = comp
-		} else if comp != root {
+	root := u.find(term0)
+	for k, p := range nr.Terminals[1:] {
+		if u.find(term0+1+k) != root {
 			return fmt.Errorf("verify: net %q terminal %v electrically disconnected", nr.Net.Name, p)
 		}
 	}
@@ -158,35 +324,49 @@ type Region struct {
 	BlocksH, BlocksV bool
 }
 
-// AvoidsRegions checks that no net metal enters a forbidden region on
-// a blocked layer. Vias and terminals count on both layers.
+// AvoidsRegions checks that no net metal enters a forbidden region: a
+// wire may not cross a region on a layer it blocks, and a via may not
+// lie in a region that blocks either layer. Terminals are not checked
+// here; the flow rejects a terminal inside an obstacle that blocks
+// both layers, and the router any terminal on a blocked grid point,
+// before routing starts.
 func AvoidsRegions(res *core.Result, regions []Region) error {
-	inside := func(r Region, p tig.Point) bool {
-		return r.Cols.Contains(p.Col) && r.Rows.Contains(p.Row)
-	}
 	for _, nr := range res.Routes {
 		for _, s := range nr.Segments {
-			for k := s.Lo; k <= s.Hi; k++ {
-				p := tig.Point{Col: k, Row: s.Track}
-				if !s.Horizontal {
-					p = tig.Point{Col: s.Track, Row: k}
-				}
-				for _, r := range regions {
-					if inside(r, p) && (s.Horizontal && r.BlocksH || !s.Horizontal && r.BlocksV) {
-						return fmt.Errorf("verify: net %q wire enters exclusion region at %v", nr.Net.Name, p)
-					}
-				}
+			if k, ok := firstBlocked(s, regions); ok {
+				return fmt.Errorf("verify: net %q wire enters exclusion region at %v", nr.Net.Name, point(layerOf(s), s.Track, k))
 			}
 		}
 		for _, v := range nr.Vias {
 			for _, r := range regions {
-				if inside(r, v) && (r.BlocksH || r.BlocksV) {
+				if r.Cols.Contains(v.Col) && r.Rows.Contains(v.Row) && (r.BlocksH || r.BlocksV) {
 					return fmt.Errorf("verify: net %q via inside exclusion region at %v", nr.Net.Name, v)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// firstBlocked returns the lowest point of s inside a region that
+// blocks its layer: the least max(s.Lo, along.Lo) over the regions
+// whose cross-track range holds s's track and whose range along it
+// meets s.
+func firstBlocked(s core.Segment, regions []Region) (int, bool) {
+	first, found := 0, false
+	for _, r := range regions {
+		across, along, blocks := r.Rows, r.Cols, r.BlocksH
+		if !s.Horizontal {
+			across, along, blocks = r.Cols, r.Rows, r.BlocksV
+		}
+		if !blocks || !across.Contains(s.Track) {
+			continue
+		}
+		if iv := along.Intersect(geom.Iv(s.Lo, s.Hi)); !iv.Empty() && (!found || iv.Lo < first) {
+			first, found = iv.Lo, true
+		}
+	}
+	return first, found
 }
 
 // LevelB runs all checks.
