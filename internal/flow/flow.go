@@ -23,7 +23,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"time"
 
 	"overcell/internal/channel"
@@ -463,7 +463,7 @@ func ChannelFree(inst *gen.Instance, opt Options) (res *Result, err error) {
 // hard failure.
 func routeLevelB(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, res *Result, b *robust.Budget) ([]float64, error) {
 	l := inst.Layout
-	nl, _ := inst.BuildNetlist(subset)
+	nl := inst.BuildNetlist(subset)
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("flow: level B netlist: %w", err)
 	}
@@ -555,29 +555,21 @@ func routeLevelB(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options,
 // terminal coordinate (the paper's non-uniform track spacing), so
 // every terminal lies exactly on a grid point.
 func buildBGrid(l *floorplan.Layout, nl *netlist.Netlist) (*grid.Grid, error) {
-	xs := map[int]bool{}
-	ys := map[int]bool{}
+	var xs, ys []int
 	pitch := l.Tech.M34Pitch
 	for x := 0; x <= l.Width(); x += pitch {
-		xs[x] = true
+		xs = append(xs, x)
 	}
 	for y := 0; y <= l.Height(); y += pitch {
-		ys[y] = true
+		ys = append(ys, y)
 	}
 	for _, n := range nl.Nets() {
 		for _, t := range n.Terminals {
-			xs[t.Pos.X] = true
-			ys[t.Pos.Y] = true
+			xs = append(xs, t.Pos.X)
+			ys = append(ys, t.Pos.Y)
 		}
 	}
-	return grid.New(sortedKeys(xs), sortedKeys(ys))
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(xs)
+	slices.Sort(ys)
+	return grid.New(slices.Compact(xs), slices.Compact(ys))
 }

@@ -53,11 +53,9 @@ func (s NetSpec) LevelA() bool {
 }
 
 // BuildNetlist materialises a netlist from the current placement for
-// the given subset of nets. It returns the netlist and the spec of
-// each created net by ID.
-func (inst *Instance) BuildNetlist(subset func(NetSpec) bool) (*netlist.Netlist, map[netlist.NetID]NetSpec) {
+// the given subset of nets.
+func (inst *Instance) BuildNetlist(subset func(NetSpec) bool) *netlist.Netlist {
 	nl := netlist.New()
-	specs := map[netlist.NetID]NetSpec{}
 	for _, s := range inst.Nets {
 		if subset != nil && !subset(s) {
 			continue
@@ -71,9 +69,8 @@ func (inst *Instance) BuildNetlist(subset func(NetSpec) bool) (*netlist.Netlist,
 		}
 		n := nl.Add(s.Name, s.Class, terms...)
 		n.Criticality = s.Criticality
-		specs[n.ID] = s
 	}
-	return nl, specs
+	return nl
 }
 
 // GlobalNets converts a subset of the nets to the global router's
