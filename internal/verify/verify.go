@@ -45,23 +45,61 @@ func point(layer, track, k int) tig.Point {
 	return tig.Point{Col: track, Row: k}
 }
 
-// span is the grid points lo..hi along one track of one layer.
-type span struct {
-	layer, track, lo, hi int
+// ival is the grid points lo..hi along one track, tagged with the id
+// of the segment or stack it belongs to.
+type ival struct {
+	track, lo, hi, id int
 }
 
-// byTrack orders spans by layer, track and first point.
-func byTrack(a, b span) int {
-	if c := cmp.Compare(a.layer, b.layer); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.track, b.track); c != 0 {
-		return c
+// byTrack orders intervals by track, then by first point.
+func byTrack(a, b ival) int {
+	if a.track != b.track {
+		return cmp.Compare(a.track, b.track)
 	}
 	return cmp.Compare(a.lo, b.lo)
 }
 
-// kind names what a claim is in a conflict error.
+// layers holds intervals per layer, indexed by layerH and layerV.
+type layers [2][]ival
+
+// newLayers returns empty layers backed by one allocation, with room
+// for nh horizontal and nv vertical intervals.
+func newLayers(nh, nv int) layers {
+	buf := make([]ival, nh+nv)
+	return layers{buf[:0:nh], buf[nh : nh : nh+nv]}
+}
+
+// segment adds s's interval, if it holds any point.
+func (ls *layers) segment(s core.Segment, id int) {
+	if s.Lo <= s.Hi {
+		l := layerOf(s)
+		ls[l] = append(ls[l], ival{s.Track, s.Lo, s.Hi, id})
+	}
+}
+
+// stack adds a via or terminal stack at p: one point on each layer.
+func (ls *layers) stack(p tig.Point, id int) {
+	ls[layerH] = append(ls[layerH], ival{p.Row, p.Col, p.Col, id})
+	ls[layerV] = append(ls[layerV], ival{p.Col, p.Row, p.Row, id})
+}
+
+// eachTrack sorts each layer byTrack and calls fn with each run of
+// intervals on one track.
+func (ls *layers) eachTrack(fn func(layer int, track []ival)) {
+	for layer, ivs := range ls {
+		slices.SortFunc(ivs, byTrack)
+		for i := 0; i < len(ivs); {
+			j := i + 1
+			for j < len(ivs) && ivs[j].track == ivs[i].track {
+				j++
+			}
+			fn(layer, ivs[i:j])
+			i = j
+		}
+	}
+}
+
+// kind names what a piece of metal is in a conflict error.
 type kind uint8
 
 const (
@@ -80,28 +118,32 @@ func (k kind) String() string {
 	return "wire"
 }
 
-// claim is one span of a net's metal. order is its place in the
-// sequence the routes list their metal in: route by route, segments,
-// then vias, then terminals, each stack's horizontal layer first.
-type claim struct {
-	span
+// metal is the owner of a segment or stack. Conflicts numbers them in
+// the order the routes list them: route by route, segments, then
+// vias, then terminals; an interval's id indexes this sequence.
+type metal struct {
 	net   netlist.NetID
 	route int // index into Result.Routes
-	order int
 	kind  kind
 }
 
-// conflict is a grid point a claim shares with a foreign net's earlier
-// metal; prev is the route that claimed the point last before it.
+// conflict is a grid point that metal id shares with a foreign net's
+// earlier metal; prev is the route that claimed the point last.
 type conflict struct {
-	cur       claim
-	pos, prev int
+	id, layer, track, pos, prev int
 }
 
-// before orders conflicts as a point-by-point walk of the claims meets
-// them: by claim order, then by position along the claim.
+// before orders conflicts as a point-by-point walk of the metal meets
+// them: by id, then by layer (a stack claims its horizontal point
+// first), then by position along the track.
 func (c conflict) before(o conflict) bool {
-	return c.cur.order < o.cur.order || c.cur.order == o.cur.order && c.pos < o.pos
+	if c.id != o.id {
+		return c.id < o.id
+	}
+	if c.layer != o.layer {
+		return c.layer < o.layer
+	}
+	return c.pos < o.pos
 }
 
 // Conflicts checks the inter-net design rules over a level B result:
@@ -110,97 +152,99 @@ func (c conflict) before(o conflict) bool {
 // partial geometry participates: it is committed metal. Nets are
 // told apart by Net.ID, so two routes of one net may overlap.
 //
-// The claims are sorted by track and swept once; only a track that
-// holds two nets' metal on one point is replayed point by point, to
-// name the first conflict in claim order.
+// Each track's intervals are swept once in order of first point; only
+// a track that holds two nets' metal on one point is replayed point by
+// point, to name the first conflict in the routes' order.
 func Conflicts(res *core.Result) error {
-	n := 0
+	var nh, nv, n int
 	for _, nr := range res.Routes {
-		n += len(nr.Segments) + 2*len(nr.Vias) + 2*len(nr.Terminals)
+		for _, s := range nr.Segments {
+			if s.Horizontal {
+				nh++
+			} else {
+				nv++
+			}
+		}
+		stacks := len(nr.Vias) + len(nr.Terminals)
+		nh, nv, n = nh+stacks, nv+stacks, n+len(nr.Segments)+stacks
 	}
-	claims := make([]claim, 0, n)
-	add := func(s span, net netlist.NetID, route int, k kind) {
-		claims = append(claims, claim{s, net, route, len(claims), k})
-	}
+	ls := newLayers(nh, nv)
+	owners := make([]metal, 0, n)
 	for ri, nr := range res.Routes {
 		id := nr.Net.ID
 		for _, s := range nr.Segments {
-			if s.Lo <= s.Hi {
-				add(span{layerOf(s), s.Track, s.Lo, s.Hi}, id, ri, wire)
-			}
+			ls.segment(s, len(owners))
+			owners = append(owners, metal{id, ri, wire})
 		}
 		for _, p := range nr.Vias {
-			add(span{layerH, p.Row, p.Col, p.Col}, id, ri, via)
-			add(span{layerV, p.Col, p.Row, p.Row}, id, ri, via)
+			ls.stack(p, len(owners))
+			owners = append(owners, metal{id, ri, via})
 		}
 		for _, p := range nr.Terminals {
-			add(span{layerH, p.Row, p.Col, p.Col}, id, ri, terminal)
-			add(span{layerV, p.Col, p.Row, p.Row}, id, ri, terminal)
+			ls.stack(p, len(owners))
+			owners = append(owners, metal{id, ri, terminal})
 		}
 	}
-	slices.SortFunc(claims, func(a, b claim) int { return byTrack(a.span, b.span) })
 	var first conflict
 	found := false
-	for lo := 0; lo < len(claims); {
-		hi := lo + 1
-		for hi < len(claims) && claims[hi].layer == claims[lo].layer && claims[hi].track == claims[lo].track {
-			hi++
+	ls.eachTrack(func(layer int, track []ival) {
+		if !sharesForeign(track, owners) {
+			return
 		}
-		if track := claims[lo:hi]; sharesForeign(track) {
-			if c := firstConflict(track); !found || c.before(first) {
-				first, found = c, true
-			}
+		if c := firstConflict(layer, track, owners); !found || c.before(first) {
+			first, found = c, true
 		}
-		lo = hi
-	}
+	})
 	if !found {
 		return nil
 	}
-	c := first.cur
-	return fmt.Errorf("verify: %s conflict at %v between %q and %q", c.kind,
-		point(c.layer, c.track, first.pos), res.Routes[first.prev].Net.Name, res.Routes[c.route].Net.Name)
+	cur := owners[first.id]
+	return fmt.Errorf("verify: %s conflict at %v between %q and %q", cur.kind,
+		point(first.layer, first.track, first.pos), res.Routes[first.prev].Net.Name, res.Routes[cur.route].Net.Name)
 }
 
-// sharesForeign reports whether two nets' claims on one track, sorted
-// by first point, share a grid point. It follows the claim reaching
-// furthest and the furthest reach of any other net: a claim overlaps a
-// foreign one iff it starts at or before the foreign net's reach.
-func sharesForeign(track []claim) bool {
-	reach, owner := track[0].hi, track[0].net
+// sharesForeign reports whether two nets' intervals on one track,
+// sorted by first point, share a grid point. It follows the interval
+// reaching furthest and the furthest reach of any other net: an
+// interval meets a foreign one iff it starts at or before that net's
+// reach.
+func sharesForeign(track []ival, owners []metal) bool {
+	reach, owner := track[0].hi, owners[track[0].id].net
 	other, hasOther := 0, false
-	for _, c := range track[1:] {
-		if c.net != owner && c.lo <= reach || c.net == owner && hasOther && c.lo <= other {
+	for _, iv := range track[1:] {
+		net := owners[iv.id].net
+		if net != owner && iv.lo <= reach || net == owner && hasOther && iv.lo <= other {
 			return true
 		}
 		switch {
-		case c.hi > reach && c.net != owner:
+		case iv.hi > reach && net != owner:
 			other, hasOther = reach, true
-			reach, owner = c.hi, c.net
-		case c.hi > reach:
-			reach = c.hi
-		case c.net != owner && (!hasOther || c.hi > other):
-			other, hasOther = c.hi, true
+			reach, owner = iv.hi, net
+		case iv.hi > reach:
+			reach = iv.hi
+		case net != owner && (!hasOther || iv.hi > other):
+			other, hasOther = iv.hi, true
 		}
 	}
 	return false
 }
 
-// firstConflict replays a track's claims in claim order over a dense
+// firstConflict replays a track's intervals in id order over a dense
 // occupancy slice, as a walk over every point would, and returns the
 // first conflict. The track must hold one (sharesForeign).
-func firstConflict(track []claim) conflict {
-	slices.SortFunc(track, func(a, b claim) int { return cmp.Compare(a.order, b.order) })
+func firstConflict(layer int, track []ival, owners []metal) conflict {
+	slices.SortFunc(track, func(a, b ival) int { return cmp.Compare(a.id, b.id) })
 	lo, hi := track[0].lo, track[0].hi
-	for _, c := range track[1:] {
-		lo, hi = min(lo, c.lo), max(hi, c.hi)
+	for _, iv := range track[1:] {
+		lo, hi = min(lo, iv.lo), max(hi, iv.hi)
 	}
-	last := make([]int, hi-lo+1) // 1 + index in track of the point's latest claim
-	for i, c := range track {
-		for k := c.lo; k <= c.hi; k++ {
-			if prev := last[k-lo]; prev != 0 && track[prev-1].net != c.net {
-				return conflict{c, k, track[prev-1].route}
+	last := make([]int, hi-lo+1) // 1 + id of the point's latest metal
+	for _, iv := range track {
+		for k := iv.lo; k <= iv.hi; k++ {
+			if prev := last[k-lo] - 1; prev >= 0 && owners[prev].net != owners[iv.id].net {
+				return conflict{iv.id, layer, iv.track, k, owners[prev].route}
 			}
-			last[k-lo] = i + 1
+			last[k-lo] = iv.id + 1
 		}
 	}
 	panic("verify: track without a conflict replayed")
@@ -210,8 +254,8 @@ func firstConflict(track []claim) conflict {
 // links all its terminals. Connectivity is layer-aware: wire points
 // connect along their own layer; vias and terminal stacks bridge the
 // layers at their point; perpendicular same-net crossings without a
-// via do NOT connect. Spans on one track join only when they share a
-// grid point, so [0,3] and [4,6] stay apart.
+// via do NOT connect. Intervals on one track join only when they share
+// a grid point, so [0,3] and [4,6] stay apart.
 func Connectivity(res *core.Result) error {
 	// Size the scratch for the largest net, so a call allocates the
 	// same few slices however many nets it checks.
@@ -224,10 +268,7 @@ func Connectivity(res *core.Result) error {
 	if most == 0 {
 		return nil
 	}
-	u := unionFind{
-		parent: make([]int, 0, most),
-		spans:  make([]elemSpan, 0, 2*most),
-	}
+	u := unionFind{parent: make([]int, 0, most), ls: newLayers(most, most)}
 	for _, nr := range res.Routes {
 		if nr.Err != nil || len(nr.Terminals) < 2 {
 			continue
@@ -239,19 +280,12 @@ func Connectivity(res *core.Result) error {
 	return nil
 }
 
-// elemSpan is a span of one element of a net: a segment, or one layer
-// of a via or terminal stack.
-type elemSpan struct {
-	span
-	elem int
-}
-
 // unionFind is Connectivity's scratch, reused across the nets of a
 // call: a disjoint-set forest over a net's segments, vias and
-// terminals, and the spans they cover.
+// terminals, and their intervals.
 type unionFind struct {
 	parent []int
-	spans  []elemSpan
+	ls     layers
 }
 
 func (u *unionFind) fresh() int {
@@ -269,45 +303,36 @@ func (u *unionFind) find(x int) int {
 
 func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
 
-// stack adds a via or terminal stack at p: one element on both layers.
-func (u *unionFind) stack(p tig.Point) {
-	e := u.fresh()
-	u.spans = append(u.spans, elemSpan{span{layerH, p.Row, p.Col, p.Col}, e}, elemSpan{span{layerV, p.Col, p.Row, p.Row}, e})
-}
-
-// net checks one net: it joins the elements whose spans share a grid
-// point on a layer, then requires every terminal in the first one's
-// set.
+// net checks one net: it joins the segments and stacks whose intervals
+// share a grid point on a layer, then requires every terminal in the
+// first one's set.
 func (u *unionFind) net(nr *core.NetRoute) error {
-	u.parent, u.spans = u.parent[:0], u.spans[:0]
+	u.parent = u.parent[:0]
+	u.ls = layers{u.ls[layerH][:0], u.ls[layerV][:0]}
 	for _, s := range nr.Segments {
-		e := u.fresh()
-		if s.Lo <= s.Hi {
-			u.spans = append(u.spans, elemSpan{span{layerOf(s), s.Track, s.Lo, s.Hi}, e})
-		}
+		u.ls.segment(s, u.fresh())
 	}
 	for _, p := range nr.Vias {
-		u.stack(p)
+		u.ls.stack(p, u.fresh())
 	}
 	term0 := len(u.parent)
 	for _, p := range nr.Terminals {
-		u.stack(p)
+		u.ls.stack(p, u.fresh())
 	}
-	slices.SortFunc(u.spans, func(a, b elemSpan) int { return byTrack(a.span, b.span) })
-	// Sweeping a track by first point, a span shares a point with an
+	// In order of first point, an interval shares a point with an
 	// earlier one iff it starts at or before the furthest reach so far,
-	// and then it shares one with the span holding that reach.
-	var reach, holder int
-	for i, s := range u.spans {
-		if i > 0 && s.layer == u.spans[i-1].layer && s.track == u.spans[i-1].track && s.lo <= reach {
-			u.union(s.elem, holder)
-			if s.hi > reach {
-				reach, holder = s.hi, s.elem
+	// and then it shares one with the interval holding that reach.
+	u.ls.eachTrack(func(_ int, track []ival) {
+		reach, holder := track[0].hi, track[0].id
+		for _, iv := range track[1:] {
+			if iv.lo <= reach {
+				u.union(iv.id, holder)
 			}
-			continue
+			if iv.hi > reach {
+				reach, holder = iv.hi, iv.id
+			}
 		}
-		reach, holder = s.hi, s.elem
-	}
+	})
 	root := u.find(term0)
 	for k, p := range nr.Terminals[1:] {
 		if u.find(term0+1+k) != root {
