@@ -110,6 +110,7 @@ func TestDifferentialFaultSeeds(t *testing.T) {
 	if len(bases) == 0 {
 		t.Fatal("no fault-harness seed reached level B")
 	}
+	t.Logf("%d of %d seeds reached level B", len(bases), faultSeeds)
 	for _, rc := range bases {
 		if d := differ(rc.res, rc.regions); d != "" {
 			t.Errorf("%s: %s", rc.name, d)
