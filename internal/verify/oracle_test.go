@@ -153,7 +153,7 @@ func oracleNetConnected(nr *core.NetRoute) error {
 }
 
 // OracleAvoidsRegions checks that no net metal enters a forbidden region on
-// a blocked layer. Vias and terminals count on both layers.
+// a blocked layer. Vias count on both layers; terminals are not checked.
 func OracleAvoidsRegions(res *core.Result, regions []Region) error {
 	inside := func(r Region, p tig.Point) bool {
 		return r.Cols.Contains(p.Col) && r.Rows.Contains(p.Row)

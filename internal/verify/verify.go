@@ -6,10 +6,11 @@
 //
 // The checks are flat. A segment is an interval of grid points on its
 // (layer, track), and a via or terminal stack is a one-point interval
-// on each layer, so a check sorts and sweeps intervals instead of
-// visiting grid points: O(k log k) time and O(k) storage per call, for
-// k segments, vias and terminals. verify builds its own view of the
-// geometry from the result and never consults the router's grid.
+// on each layer, so Conflicts and Connectivity sort and sweep intervals
+// instead of visiting grid points: O(k log k) time and O(k) storage
+// per call, for k segments, vias and terminals. verify builds its own
+// view of the geometry from the result and never consults the router's
+// grid.
 package verify
 
 import (
