@@ -29,14 +29,3 @@ func BenchmarkMultiEmit(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSyncedEmit quantifies the mutex cost Synced adds per event
-// over the bare member, uncontended.
-func BenchmarkSyncedEmit(b *testing.B) {
-	tr := Synced(&countTracer{})
-	e := Event{Type: EvMBFS, Expanded: 10}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(e)
-	}
-}
