@@ -47,6 +47,7 @@ import (
 	"overcell/internal/metrics"
 	"overcell/internal/netlist"
 	"overcell/internal/obs"
+	obsmetrics "overcell/internal/obs/metrics"
 	"overcell/internal/obs/perf"
 	"overcell/internal/robust"
 	"overcell/internal/serve"
@@ -194,8 +195,8 @@ func workloads() []workload {
 		}, nil, nil
 	}})
 	// The overhead pair: the same flow with tracing off and with a
-	// collector attached. Comparing the two ns/op values in the JSON is
-	// the standing regression check on observability cost.
+	// stats aggregate attached. Comparing the two ns/op values in the
+	// JSON is the standing regression check on observability cost.
 	ws = append(ws, workload{"proposed/ami33/untraced", func() (map[string]float64, []obs.BenchPhase, error) {
 		res, err := runFlow(gen.Ami33Like, flow.Proposed, flow.Options{})
 		if err != nil {
@@ -206,7 +207,7 @@ func workloads() []workload {
 	// The traced entry doubles as the perf-attributed one: its Phases
 	// break the flow down by level-a/level-b/verify.
 	ws = append(ws, workload{"proposed/ami33/traced", func() (map[string]float64, []obs.BenchPhase, error) {
-		col := obs.NewCollector()
+		col := obsmetrics.NewTracer(nil)
 		pc := perf.New(perf.Options{Run: "proposed/ami33/traced"})
 		res, err := runFlow(gen.Ami33Like, flow.Proposed, flow.Options{Tracer: col, Perf: pc})
 		if err != nil {

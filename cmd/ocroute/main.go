@@ -11,7 +11,7 @@
 // channel model), channelfree (everything over the cells).
 //
 // Observability: -trace streams every routing event as NDJSON, -stats
-// prints the aggregate collector summary (search expansions,
+// prints the aggregate event summary (search expansions,
 // escalations, rip-up outcomes, phase times), -heatmap writes the
 // per-window congestion map of the level B grid (SVG when the file
 // ends in .svg, ASCII otherwise), and -cpuprofile/-memprofile write
@@ -42,6 +42,8 @@ import (
 	"overcell/internal/gen"
 	"overcell/internal/metrics"
 	"overcell/internal/obs"
+	"overcell/internal/obs/congest"
+	obsmetrics "overcell/internal/obs/metrics"
 	"overcell/internal/obs/perf"
 	"overcell/internal/render"
 	"overcell/internal/robust"
@@ -91,11 +93,11 @@ func run() int {
 		die(err)
 	}
 
-	var collector *obs.Collector
+	var statsTracer *obsmetrics.Tracer
 	var tracers []obs.Tracer
 	if *stats {
-		collector = obs.NewCollector()
-		tracers = append(tracers, collector)
+		statsTracer = obsmetrics.NewTracer(nil)
+		tracers = append(tracers, statsTracer)
 	}
 	var traceBuf *bufio.Writer
 	var traceWriter *obs.Writer
@@ -205,8 +207,8 @@ func run() int {
 		}
 		fmt.Printf("wrote %s (%d events)\n", *trace, traceWriter.Events())
 	}
-	if collector != nil {
-		fmt.Print(collector.Summary())
+	if statsTracer != nil {
+		fmt.Print(statsTracer.Summary())
 	}
 	if pc != nil {
 		pc.Finish()
@@ -228,7 +230,7 @@ func run() int {
 		if res == nil || res.BGrid == nil {
 			die(fmt.Errorf("flow %q has no level B grid to map; use -flow proposed or channelfree", *flowName))
 		}
-		h := obs.CollectHeatmap(res.BGrid, *heatwin)
+		h := congest.Tile(res.BGrid, *heatwin)
 		f, err := os.Create(*heatmap)
 		if err != nil {
 			die(err)
@@ -242,8 +244,8 @@ func run() int {
 		if err != nil {
 			die(err)
 		}
-		c, r, occ := h.Hottest()
-		fmt.Printf("wrote %s (hottest tile (%d,%d) occ=%.2f)\n", *heatmap, c, r, occ)
+		c, r, bp := h.Hottest()
+		fmt.Printf("wrote %s (hottest tile (%d,%d) occ=%.2f)\n", *heatmap, c, r, float64(bp)/10000)
 	}
 	if *dump != "" && res != nil && res.LevelB != nil {
 		f, err := os.Create(*dump)

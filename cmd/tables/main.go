@@ -16,7 +16,7 @@ import (
 	"overcell/internal/flow"
 	"overcell/internal/gen"
 	"overcell/internal/metrics"
-	"overcell/internal/obs"
+	obsmetrics "overcell/internal/obs/metrics"
 )
 
 var makers = []struct {
@@ -36,10 +36,10 @@ func main() {
 	table := flag.String("table", "all", "which table to print: 1, 2, 3, channelfree, delay, all")
 	stats := flag.Bool("stats", false, "print aggregated routing statistics after the tables")
 	flag.Parse()
-	var collector *obs.Collector
+	var statsTracer *obsmetrics.Tracer
 	if *stats {
-		collector = obs.NewCollector()
-		runOpts.Tracer = collector
+		statsTracer = obsmetrics.NewTracer(nil)
+		runOpts.Tracer = statsTracer
 	}
 	switch *table {
 	case "1":
@@ -66,9 +66,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
 	}
-	if collector != nil {
+	if statsTracer != nil {
 		fmt.Println()
-		fmt.Print(collector.Summary())
+		fmt.Print(statsTracer.Summary())
 	}
 }
 

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"overcell/internal/geom"
@@ -103,5 +104,46 @@ func TestReportJSONStable(t *testing.T) {
 	}
 	if rt.Win != DefaultWin || rt.OverflowBP != DefaultOverflowBP {
 		t.Fatalf("defaults did not round-trip: %+v", rt)
+	}
+}
+
+// TestHeatmap tiles grids whose left half is fully blocked and whose
+// right half is free.
+func TestHeatmap(t *testing.T) {
+	leftHalf := func(nx, ny int) *grid.Grid {
+		g, err := grid.Uniform(nx, ny, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.BlockRect(geom.R(0, 0, (nx/2-1)*10, (ny-1)*10), grid.MaskBoth)
+		return g
+	}
+	f := Tile(leftHalf(32, 16), 8)
+	if f.Win != 8 || f.Cols != 4 || f.Rows != 2 || len(f.BP) != 8 {
+		t.Fatalf("tiling = %dx%d win %d, %d tiles; want 4x2 win 8", f.Cols, f.Rows, f.Win, len(f.BP))
+	}
+	for i, bp := range f.BP {
+		want := 0
+		if i%f.Cols < 2 {
+			want = 10000
+		}
+		if bp != want {
+			t.Errorf("tile (%d,%d) = %d bp, want %d", i%f.Cols, i/f.Cols, bp, want)
+		}
+	}
+	if c, r, bp := f.Hottest(); c != 0 || r != 0 || bp != 10000 {
+		t.Errorf("hottest = (%d,%d) %d bp", c, r, bp)
+	}
+	// Ragged edge: win that does not divide the track count.
+	if f := Tile(leftHalf(10, 10), 8); f.Cols != 2 || f.Rows != 2 {
+		t.Errorf("ragged tiles = %dx%d", f.Cols, f.Rows)
+	}
+	// A window past the grid's larger side is clamped to it, not
+	// overflowed into an empty tiling; win < 1 means DefaultWin.
+	if f := Tile(leftHalf(32, 16), math.MaxInt); f.Win != 32 || f.Cols != 1 || f.Rows != 1 || f.BP[0] != 5000 {
+		t.Errorf("MaxInt window = %dx%d win %d %v, want one 5000 bp tile of win 32", f.Cols, f.Rows, f.Win, f.BP)
+	}
+	if f := Tile(leftHalf(32, 16), 0); f.Win != DefaultWin {
+		t.Errorf("win 0 tiled at %d, want DefaultWin", f.Win)
 	}
 }

@@ -1,8 +1,9 @@
-// Package metrics is the live counterpart of the offline obs
-// collector: a goroutine-safe registry of counters, gauges and
-// power-of-two histograms with Prometheus text-format exposition
-// (version 0.0.4), meant to be scraped from a long-running routing
-// service while runs are in flight.
+// Package metrics aggregates routing events: Tracer tallies a run's
+// obs events (the -stats summary), and a goroutine-safe registry of
+// counters, gauges and power-of-two histograms with Prometheus
+// text-format exposition (version 0.0.4) exposes them, meant to be
+// scraped from a long-running routing service while runs are in
+// flight.
 //
 // The registry is deliberately small and dependency-free. Metric
 // handles are get-or-create: the first call with a (name, labels)
@@ -128,6 +129,15 @@ func getSeries[T any](r *Registry, name, help string, k kind, labels []Label, mk
 	return s
 }
 
+// expose registers s, a series owned by the caller, under (name,
+// labels). Each series is exposed once: registering the same name and
+// labels again panics.
+func expose[T any](r *Registry, name, help string, k kind, s T, labels ...Label) {
+	if got := getSeries(r, name, help, k, labels, func() T { return s }); any(got) != any(s) {
+		panic(fmt.Sprintf("metrics: %s%s already registered", name, signature(labels)))
+	}
+}
+
 // validName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
 func validName(s string) bool {
 	if s == "" {
@@ -229,8 +239,8 @@ func (g *Gauge) Dec() { g.Add(-1) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a goroutine-safe wrapper over the collector's
-// power-of-two obs.Histogram, exposed in Prometheus cumulative-bucket
+// Histogram is a goroutine-safe wrapper over the power-of-two
+// obs.Histogram, exposed in Prometheus cumulative-bucket
 // form with upper bounds 0, 1, 3, 7, ... 2^i-1, +Inf.
 type Histogram struct {
 	mu sync.Mutex

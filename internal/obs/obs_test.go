@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"overcell/internal/geom"
 )
 
 func TestNopAndCombine(t *testing.T) {
@@ -16,7 +14,7 @@ func TestNopAndCombine(t *testing.T) {
 	if OrNop(nil).Enabled() {
 		t.Error("OrNop(nil) enabled")
 	}
-	c := NewCollector()
+	c := &countTracer{}
 	if got := OrNop(c); got != Tracer(c) {
 		t.Error("OrNop dropped a live tracer")
 	}
@@ -24,7 +22,7 @@ func TestNopAndCombine(t *testing.T) {
 		t.Errorf("Combine of dead tracers = %T, want Nop", Combine(nil, Nop{}))
 	}
 	if got := Combine(nil, c, Nop{}); got != Tracer(c) {
-		t.Errorf("Combine single survivor = %T, want the collector itself", got)
+		t.Errorf("Combine single survivor = %T, want the tracer itself", got)
 	}
 	w := NewWriter(&bytes.Buffer{})
 	m := Combine(c, w)
@@ -32,8 +30,8 @@ func TestNopAndCombine(t *testing.T) {
 		t.Fatalf("Combine(two) = %T enabled=%v", m, m.Enabled())
 	}
 	m.Emit(Event{Type: EvMBFS, Expanded: 3})
-	if c.Count(EvMBFS) != 1 || w.Events() != 1 {
-		t.Errorf("fan-out missed a tracer: collector=%d writer=%d", c.Count(EvMBFS), w.Events())
+	if c.n != 1 || w.Events() != 1 {
+		t.Errorf("fan-out missed a tracer: counter=%d writer=%d", c.n, w.Events())
 	}
 }
 
@@ -88,94 +86,6 @@ func TestHistogram(t *testing.T) {
 	s := h.String()
 	if !strings.Contains(s, "n=6") || !strings.Contains(s, "max=900") {
 		t.Errorf("histogram string: %s", s)
-	}
-}
-
-func TestCollectorAggregation(t *testing.T) {
-	c := NewCollector()
-	c.Emit(Event{Type: EvMBFS, Levels: 2, Expanded: 10, Pruned: 4, Paths: 3})
-	c.Emit(Event{Type: EvMBFS, Levels: 5, Expanded: 30, Pruned: 1, Failed: true})
-	c.Emit(Event{Type: EvSelect, Paths: 3, Pruned: 2})
-	c.Emit(Event{Type: EvEscalate, Step: 2, Margin: 4})
-	c.Emit(Event{Type: EvEscalate, Step: 5, Relaxed: true})
-	c.Emit(Event{Type: EvNetDone, Net: "a", Wire: 100, Vias: 4, Corners: 2})
-	c.Emit(Event{Type: EvNetDone, Net: "b", Failed: true})
-	c.Emit(Event{Type: EvRipup, Net: "b", Victims: 3})
-	c.Emit(Event{Type: EvRipupPass, Step: 0, Victims: 1})
-	c.Emit(Event{Type: EvMaze, Expanded: 7})
-	c.Emit(Event{Type: EvPhaseEnd, Phase: "level-b", DurNS: 1500000})
-
-	if c.Expanded != 47 || c.Pruned != 5 || c.SelectPruned != 2 {
-		t.Errorf("search tallies: expanded=%d pruned=%d selpruned=%d", c.Expanded, c.Pruned, c.SelectPruned)
-	}
-	if c.FailedMBFS != 1 {
-		t.Errorf("failed searches = %d", c.FailedMBFS)
-	}
-	if c.NetsRouted != 1 || c.NetsFailed != 1 || c.Wire != 100 || c.Vias != 4 {
-		t.Errorf("net tallies: %d/%d wire=%d vias=%d", c.NetsRouted, c.NetsFailed, c.Wire, c.Vias)
-	}
-	if c.RipupAttempts != 1 || c.RipupWins != 1 || c.RipupPasses != 1 {
-		t.Errorf("ripup tallies: %d/%d/%d", c.RipupAttempts, c.RipupWins, c.RipupPasses)
-	}
-	if c.EscalationsByStep[2] != 1 || c.RelaxedRetries != 1 {
-		t.Errorf("escalations: %v relaxed=%d", c.EscalationsByStep, c.RelaxedRetries)
-	}
-	if c.Events() != 11 {
-		t.Errorf("events = %d, want 11", c.Events())
-	}
-	sum := c.Summary()
-	for _, want := range []string{"mbfs", "escalations: step2:1 step5:1", "rip-up: 1 passes, 1 attempts, 1 recovered", "phase level-b"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("summary missing %q:\n%s", want, sum)
-		}
-	}
-	// Summary is deterministic across calls (sorted map iteration).
-	if c.Summary() != sum {
-		t.Error("summary not deterministic")
-	}
-}
-
-// flatSurface is a synthetic CongestionSurface: a nx-by-ny grid where
-// the left half is fully blocked and the right half is free.
-type flatSurface struct{ nx, ny int }
-
-func (s flatSurface) NX() int { return s.nx }
-func (s flatSurface) NY() int { return s.ny }
-func (s flatSurface) CongestionIn(cols, rows geom.Interval) float64 {
-	blocked := 0
-	for c := cols.Lo; c <= cols.Hi; c++ {
-		if c < s.nx/2 {
-			blocked += rows.Len()
-		}
-	}
-	return float64(blocked) / float64(cols.Len()*rows.Len())
-}
-
-func TestHeatmap(t *testing.T) {
-	h := CollectHeatmap(flatSurface{nx: 32, ny: 16}, 8)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cols != 4 || h.Rows != 2 {
-		t.Fatalf("tiles = %dx%d, want 4x2", h.Cols, h.Rows)
-	}
-	if h.At(0, 0) != 1 || h.At(3, 1) != 0 {
-		t.Errorf("occupancy: left=%v right=%v", h.At(0, 0), h.At(3, 1))
-	}
-	if h.Max() != 1 {
-		t.Errorf("max = %v", h.Max())
-	}
-	c, r, occ := h.Hottest()
-	if c != 0 || r != 0 || occ != 1 {
-		t.Errorf("hottest = (%d,%d) %v", c, r, occ)
-	}
-	// Ragged edge: win that does not divide the track count.
-	h = CollectHeatmap(flatSurface{nx: 10, ny: 10}, 8)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cols != 2 || h.Rows != 2 {
-		t.Errorf("ragged tiles = %dx%d", h.Cols, h.Rows)
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
-	"overcell/internal/obs"
 	"overcell/internal/obs/congest"
 )
 
-func heatmapExample(t *testing.T) *obs.Heatmap {
+func heatmapExample(t *testing.T) congest.Frame {
 	t.Helper()
 	g, err := grid.Uniform(32, 16, 10)
 	if err != nil {
@@ -20,7 +19,7 @@ func heatmapExample(t *testing.T) *obs.Heatmap {
 	}
 	// Fully block the left quarter, leave the rest free.
 	g.BlockRect(geom.R(0, 0, 70, 150), grid.MaskBoth)
-	return obs.CollectHeatmap(g, 8)
+	return congest.Tile(g, 8)
 }
 
 func TestHeatmapASCII(t *testing.T) {

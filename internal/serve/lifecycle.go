@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"overcell/internal/gen"
-	"overcell/internal/obs"
+	"overcell/internal/obs/metrics"
 	"overcell/internal/obs/perf"
 	"overcell/internal/obs/span"
 	"overcell/internal/serve/journal"
@@ -108,8 +108,8 @@ func (s *Server) noteID(id string) {
 }
 
 // recoverFinished reconstructs a terminal run from its journal state.
-// The in-memory artifacts a live run carries (heatmap, span tree, perf
-// report) died with the old process; the summary, hashes and timings
+// The in-memory artifacts a live run carries (level B grid, span tree,
+// perf report) died with the old process; the summary, hashes and timings
 // survive.
 func (s *Server) recoverFinished(st *journal.RunState) {
 	done := make(chan struct{})
@@ -121,9 +121,9 @@ func (s *Server) recoverFinished(st *journal.RunState) {
 		instHash: st.InstanceHash, resultHash: st.ResultHash,
 		attempts: st.Attempts, recovered: true,
 		cancel: func() {}, done: done,
-		builder:   span.NewBuilder(st.ID, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: st.ID}),
+		builder: span.NewBuilder(st.ID, nil),
+		stats:   metrics.NewTracer(nil),
+		perf:    perf.New(perf.Options{Run: st.ID}),
 	}
 	if r := st.Result; r != nil {
 		ru.resRec = &RunResult{
@@ -148,11 +148,11 @@ func (s *Server) requeue(st *journal.RunState) bool {
 		id: st.ID, flowName: st.Flow, instance: st.Name,
 		state: StatePending, submitted: st.Accepted,
 		instHash: st.InstanceHash, recovered: true,
-		heatWin:   st.Opts.HeatWin,
-		done:      make(chan struct{}),
-		builder:   span.NewBuilder(st.ID, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: st.ID}),
+		heatWin: st.Opts.HeatWin,
+		done:    make(chan struct{}),
+		builder: span.NewBuilder(st.ID, nil),
+		stats:   metrics.NewTracer(nil),
+		perf:    perf.New(perf.Options{Run: st.ID}),
 	}
 	inst, err := gen.ReadJSON(bytes.NewReader(st.Instance))
 	fn, known := s.flows[st.Flow]

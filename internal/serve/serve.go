@@ -30,14 +30,16 @@
 // further submissions with 503.
 //
 // Every run feeds six observers at once: the shared goroutine-safe
-// metrics registry adapter (live /metrics counters), a per-run
-// span.Builder (the run → phase → net trace), a per-run obs.Collector
-// (the aggregate summary shown in the run detail), a per-run
-// perf.Collector (the /runs/{id}/perf attribution report, folded into
-// the cumulative ocroute_perf_* families when the run finishes), a
-// per-run stream.Broker (the /runs/{id}/events SSE fan-out) and a
-// per-run congest.Series (the /runs/{id}/congestion time-series,
-// sampled at net commit boundaries). Runs execute under pprof labels
+// metrics.Tracer registered on the server's registry (live /metrics
+// counters), a per-run span.Builder (the run → phase → net trace), a
+// per-run unregistered metrics.Tracer (the aggregate summary shown in
+// the run detail), a per-run perf.Collector (the /runs/{id}/perf
+// attribution report, folded into the cumulative ocroute_perf_*
+// families when the run finishes), a per-run stream.Broker (the
+// /runs/{id}/events SSE fan-out) and a per-run congest.Series (the
+// /runs/{id}/congestion time-series, sampled at net commit
+// boundaries). The heatmap is not an observer: heatmap.svg tiles the
+// run's kept level B grid on request. Runs execute under pprof labels
 // (run, phase), so profiles captured via /debug/pprof
 // while a job routes are attributable. Config.StreamCap = -1 turns the
 // stream and congestion observers off entirely, restoring the PR 8
@@ -209,11 +211,11 @@ type run struct {
 	recovered bool
 	requeue   bool
 
-	cancel    context.CancelFunc
-	done      chan struct{}
-	builder   *span.Builder
-	collector *obs.Collector
-	perf      *perf.Collector
+	cancel  context.CancelFunc
+	done    chan struct{}
+	builder *span.Builder
+	stats   *metrics.Tracer // the detail view's summary; nothing exports it
+	perf    *perf.Collector
 	// broker fans the run's events out to SSE subscribers; series
 	// records the commit-boundary congestion samples. Both nil when
 	// Config.StreamCap < 0 and on runs recovered in a terminal state
@@ -223,7 +225,6 @@ type run struct {
 
 	res    *flow.Result
 	resRec *RunResult // summary view; survives restarts when res cannot
-	heat   *obs.Heatmap
 }
 
 // New builds a Server with its own metrics registry.
@@ -493,9 +494,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		state: StatePending, submitted: time.Now(), heatWin: req.HeatWin, //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
 		instHash: instHash,
 		cancel:   cancel, done: make(chan struct{}),
-		builder:   span.NewBuilder(id, nil),
-		collector: obs.NewCollector(),
-		perf:      perf.New(perf.Options{Run: id}),
+		builder: span.NewBuilder(id, nil),
+		stats:   metrics.NewTracer(nil),
+		perf:    perf.New(perf.Options{Run: id}),
 	}
 	s.attachTelemetry(ru)
 	s.runs[id] = ru
@@ -572,7 +573,7 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 	// The broker joins the tracer chain only when live telemetry is on
 	// (a nil *stream.Broker must never reach Combine: the interface
 	// would be non-nil and its Emit would dereference the nil pointer).
-	trs := []obs.Tracer{s.mtr, ru.builder, ru.collector}
+	trs := []obs.Tracer{s.mtr, ru.builder, ru.stats}
 	if ru.broker != nil {
 		trs = append(trs, ru.broker)
 	}
@@ -642,15 +643,11 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 	s.transition(ru, state, res, err)
 }
 
-// transition finalises a run: records the outcome, samples the
-// congestion heatmap, bumps the server metrics, and journals the
-// terminal record. The first terminal transition wins — a cancel
-// racing a natural completion finalises (and journals) exactly once.
+// transition finalises a run: records the outcome, bumps the server
+// metrics, and journals the terminal record. The first terminal
+// transition wins — a cancel racing a natural completion finalises
+// (and journals) exactly once.
 func (s *Server) transition(ru *run, state string, res *flow.Result, err error) {
-	var heat *obs.Heatmap
-	if res != nil && res.BGrid != nil {
-		heat = obs.CollectHeatmap(res.BGrid, ru.heatWin)
-	}
 	s.mu.Lock()
 	if terminalState(ru.state) {
 		s.mu.Unlock()
@@ -659,7 +656,6 @@ func (s *Server) transition(ru *run, state string, res *flow.Result, err error) 
 	ru.state = state
 	ru.finished = time.Now() //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
 	ru.res = res
-	ru.heat = heat
 	if err != nil {
 		ru.err = err.Error()
 	}
@@ -951,7 +947,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.status(ru, true)
-	st.Summary = ru.collector.Summary()
+	st.Summary = ru.stats.Summary()
 	if v := r.URL.Query().Get("spans"); v == "1" || v == "true" {
 		st.SpanTree = ru.builder.Snapshot()
 	}
@@ -1005,10 +1001,9 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	heat := ru.heat
-	state := ru.state
+	res, state := ru.res, ru.state
 	s.mu.Unlock()
-	if heat == nil {
+	if res == nil || res.BGrid == nil {
 		code := http.StatusNotFound
 		msg := fmt.Sprintf("run %s has no level B heatmap (state %s)", ru.id, state)
 		if state == StatePending || state == StateRunning {
@@ -1019,7 +1014,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	if err := render.HeatmapSVG(w, heat); err != nil {
+	if err := render.HeatmapSVG(w, congest.Tile(res.BGrid, ru.heatWin)); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -97,7 +97,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("span summary = %+v", st.Spans)
 	}
 
-	// Detail view: collector summary and full span tree.
+	// Detail view: event summary and full span tree.
 	code, body := getBody(t, ts.URL+"/runs/"+st.ID+"?spans=1")
 	if code != 200 || !strings.Contains(body, "events:") || !strings.Contains(body, `"span_tree"`) {
 		t.Fatalf("run detail = %d %.200s", code, body)
@@ -255,11 +255,10 @@ func TestCancelRunningAndPending(t *testing.T) {
 	}
 }
 
-// TestGetRunningRunDetail GETs a run's detail view — collector
-// summary and span tree included — while its flow is still emitting
-// events. Under -race this pins the mid-run read path: the collector
-// and span builder must serve consistent snapshots against a live
-// emitter.
+// TestGetRunningRunDetail GETs a run's detail view — event summary
+// and span tree included — while its flow is still emitting events.
+// Under -race this pins the mid-run read path: the stats tracer and
+// span builder must serve race-free reads against a live emitter.
 func TestGetRunningRunDetail(t *testing.T) {
 	s := New(Config{MaxRuns: 1})
 	running := make(chan struct{}, 1)

@@ -16,6 +16,7 @@ import (
 	"overcell/internal/flow"
 	"overcell/internal/gen"
 	"overcell/internal/obs"
+	"overcell/internal/obs/congest"
 	"overcell/internal/robust"
 )
 
@@ -396,6 +397,38 @@ func TestCongestionEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestHugeHeatWin posts the largest heat_win the query accepts. The
+// window is clamped to the grid's larger side, so the congestion series
+// and the heatmap each hold one tile instead of wrapping the tile count
+// to an empty tiling.
+func TestHugeHeatWin(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, st, raw := postRun(t, ts.URL, "?flow=proposed&wait=1&heat_win=9223372036854775807", testInstance(t))
+	if st.State != StateDone {
+		t.Fatalf("run = %s %.200s", st.State, raw)
+	}
+	_, body := getBody(t, ts.URL+"/runs/"+st.ID+"/congestion")
+	var rep congest.Report
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cols != 1 || rep.Rows != 1 || len(rep.Samples) == 0 {
+		t.Fatalf("tiling = %dx%d with %d samples, want 1x1: %.200s", rep.Cols, rep.Rows, len(rep.Samples), body)
+	}
+	for _, sm := range rep.Samples {
+		if sm.PeakBP < 0 {
+			t.Fatalf("sample %+v has no peak tile", sm)
+		}
+	}
+	code, body := getBody(t, ts.URL+"/runs/"+st.ID+"/heatmap.svg")
+	if code != 200 || !strings.Contains(body, `viewBox="0 0 12 12"`) {
+		t.Fatalf("heatmap.svg = %d %.200s, want one 12x12 tile", code, body)
 	}
 }
 
