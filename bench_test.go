@@ -228,8 +228,9 @@ func BenchmarkLevelBScalingNets(b *testing.B) {
 }
 
 // BenchmarkLevelB measures the level B router alone on the largest
-// scaling workload (96x96 grid, 100 nets), reporting allocations: the
-// benchmark behind the levelb/nets100/seq allocation gate.
+// scaling workload (96x96 grid, 100 nets), reporting allocations. Its
+// terminals are drawn through math/rand, so it is not the instance
+// TestAllocationGates bounds; that one draws from an LCG.
 func BenchmarkLevelB(b *testing.B) {
 	b.ReportAllocs()
 	expanded := 0
