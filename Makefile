@@ -1,7 +1,7 @@
 GO ?= go
 OCLINT := $(CURDIR)/bin/oclint
 
-.PHONY: all build test race lint bench bench-json benchdiff fuzz clean
+.PHONY: all build test race lint bench fuzz clean
 
 all: build lint test
 
@@ -48,22 +48,5 @@ fuzz:
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzTIGSearch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/verify -run='^$$' -fuzz=FuzzVerify -fuzztime=$(FUZZTIME)
 
-# bench-json snapshots the perf trajectory as BENCH_<TAG>.json (see
-# cmd/benchjson); commit the file alongside the change it baselines.
-TAG ?= dev
-bench-json:
-	$(GO) run ./cmd/benchjson -tag $(TAG) -runs 3
-
-# benchdiff measures a fresh snapshot and diffs it against the newest
-# committed BENCH_*.json. The fresh file is written as benchdiff-new.json
-# on purpose: the root bench-file test validates every BENCH_*.json, so
-# scratch snapshots must not match that glob. BENCHDIFF_FLAGS=-warn
-# demotes regressions to a note (CI uses this).
-BENCHDIFF_FLAGS ?=
-benchdiff:
-	$(GO) run ./cmd/benchjson -tag benchdiff-new -o benchdiff-new.json -runs 3
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) -o benchdiff.md benchdiff-new.json
-	cat benchdiff.md
-
 clean:
-	rm -rf bin benchdiff-new.json benchdiff.md
+	rm -rf bin

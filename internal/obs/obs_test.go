@@ -88,35 +88,3 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("histogram string: %s", s)
 	}
 }
-
-func TestBenchFileRoundTrip(t *testing.T) {
-	f := &BenchFile{
-		Tag:       "test",
-		GoVersion: "go0.0",
-		Benchmarks: []BenchEntry{{
-			Name: "w1", Runs: 2, NsPerOp: 100, AllocsPerOp: 5,
-			Metrics: map[string]float64{"expanded": 42},
-		}},
-	}
-	var buf bytes.Buffer
-	if err := WriteBench(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBench(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tag != "test" || len(got.Benchmarks) != 1 || got.Benchmarks[0].Metrics["expanded"] != 42 {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-	for _, bad := range []string{
-		`{}`,
-		`{"tag":"x","go_version":"g","benchmarks":[]}`,
-		`{"tag":"x","go_version":"g","benchmarks":[{"name":"","runs":1}]}`,
-		`{"tag":"x","go_version":"g","benchmarks":[{"name":"a","runs":0}]}`,
-	} {
-		if _, err := ReadBench(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadBench accepted %s", bad)
-		}
-	}
-}

@@ -143,25 +143,6 @@ func TestConstantInputsCollapseDurations(t *testing.T) {
 	}
 }
 
-func TestBenchPhases(t *testing.T) {
-	c := newFakeEnv().collector("bench")
-	drive(c)
-	rows := c.Report().BenchPhases()
-	want := []string{"run", "level-a", "level-b"}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %d, want %d: %+v", len(rows), len(want), rows)
-	}
-	for i, name := range want {
-		if rows[i].Name != name {
-			t.Errorf("row %d = %q, want %q", i, rows[i].Name, name)
-		}
-	}
-	if rows[0].NsPerOp <= 0 || rows[1].AllocsPerOp == 0 {
-		t.Errorf("rows carry no data: run ns %d, level-a allocs %d",
-			rows[0].NsPerOp, rows[1].AllocsPerOp)
-	}
-}
-
 func TestTable(t *testing.T) {
 	c := newFakeEnv().collector("table")
 	drive(c)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"overcell/internal/obs"
 )
 
 // ReportSchema versions the perf-report JSON document.
@@ -136,23 +134,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// BenchPhases flattens the report into bench-JSON per-phase rows: one
-// "run" total and one row per flow phase.
-func (r *Report) BenchPhases() []obs.BenchPhase {
-	out := make([]obs.BenchPhase, 0, len(r.Phases)+1)
-	out = append(out, obs.BenchPhase{
-		Name: "run", NsPerOp: r.WallNS,
-		AllocsPerOp: r.Runtime.Allocs, BytesPerOp: r.Runtime.Bytes,
-	})
-	for _, p := range r.Phases {
-		out = append(out, obs.BenchPhase{
-			Name: p.Name, NsPerOp: p.WallNS,
-			AllocsPerOp: p.Allocs, BytesPerOp: p.Bytes,
-		})
-	}
-	return out
 }
 
 // Table renders the report as a human-readable text table (cold path;
