@@ -109,8 +109,8 @@ func (s *Server) noteID(id string) {
 
 // recoverFinished reconstructs a terminal run from its journal state.
 // The in-memory artifacts a live run carries (level B grid, span tree,
-// perf report) died with the old process; the summary, hashes and timings
-// survive.
+// perf report) died with the old process, so perf stays nil; the
+// summary, hashes and timings survive.
 func (s *Server) recoverFinished(st *journal.RunState) {
 	done := make(chan struct{})
 	close(done)
@@ -123,7 +123,6 @@ func (s *Server) recoverFinished(st *journal.RunState) {
 		cancel: func() {}, done: done,
 		builder: span.NewBuilder(st.ID, nil),
 		stats:   metrics.NewTracer(nil),
-		perf:    perf.New(perf.Options{Run: st.ID}),
 	}
 	if r := st.Result; r != nil {
 		ru.resRec = &RunResult{
