@@ -29,21 +29,54 @@ type eventLog struct {
 func (l *eventLog) Enabled() bool    { return true }
 func (l *eventLog) Emit(e obs.Event) { l.events = append(l.events, e) }
 
+// clockReader logs events and, when read is set, reads the phase
+// clock on phase_start, standing in for a tracer whose phase_start work
+// takes time.
+type clockReader struct {
+	eventLog
+	read func() time.Time
+}
+
+func (c *clockReader) Emit(e obs.Event) {
+	if e.Type == obs.EvPhaseStart && c.read != nil {
+		c.read()
+	}
+	c.eventLog.Emit(e)
+}
+
 // TestPhaseUsesInjectedClock pins phase timing to the injected clock:
-// one start read, one end read, so DurNS is exactly one step.
+// one start read, one end read, so DurNS is exactly one step. The start
+// read comes before phase_start is emitted, so a tracer's work on that
+// event falls inside the phase: when the tracer reads the same clock,
+// DurNS is two steps.
 func TestPhaseUsesInjectedClock(t *testing.T) {
-	clock := &stepClock{now: time.Unix(1000, 0), step: 7 * time.Millisecond}
-	log := &eventLog{}
-	end := phase(log, clock.read, "level-b")
-	end()
-	if len(log.events) != 2 {
-		t.Fatalf("phase emitted %d events, want 2", len(log.events))
-	}
-	if log.events[0].Type != obs.EvPhaseStart || log.events[1].Type != obs.EvPhaseEnd {
-		t.Fatalf("phase emitted %v, %v; want phase_start, phase_end", log.events[0].Type, log.events[1].Type)
-	}
-	if got, want := log.events[1].DurNS, (7 * time.Millisecond).Nanoseconds(); got != want {
-		t.Errorf("phase_end DurNS = %d, want %d (one clock step)", got, want)
+	const step = 7 * time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		readOnStart bool
+		steps       int64
+	}{
+		{"plain tracer", false, 1},
+		{"tracer reads clock on phase_start", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &stepClock{now: time.Unix(1000, 0), step: step}
+			log := &clockReader{}
+			if tc.readOnStart {
+				log.read = clock.read
+			}
+			end := phase(log, clock.read, "level-b")
+			end()
+			if len(log.events) != 2 {
+				t.Fatalf("phase emitted %d events, want 2", len(log.events))
+			}
+			if log.events[0].Type != obs.EvPhaseStart || log.events[1].Type != obs.EvPhaseEnd {
+				t.Fatalf("phase emitted %v, %v; want phase_start, phase_end", log.events[0].Type, log.events[1].Type)
+			}
+			if got, want := log.events[1].DurNS, tc.steps*step.Nanoseconds(); got != want {
+				t.Errorf("phase_end DurNS = %d, want %d (%d clock steps)", got, want, tc.steps)
+			}
+		})
 	}
 }
 

@@ -181,14 +181,15 @@ func (o Options) labeled(phase string, fn func()) {
 
 // phase brackets one flow phase with obs events and returns the
 // closure that emits the matching phase_end with the phase's duration
-// as measured by clock.
+// as measured by clock. The clock is read before phase_start goes out,
+// so the tracers' work on that event counts in the phase.
 func phase(tr obs.Tracer, clock func() time.Time, name string) func() {
 	t := obs.OrNop(tr)
 	if !t.Enabled() {
 		return func() {}
 	}
-	t.Emit(obs.Event{Type: obs.EvPhaseStart, Phase: name})
 	start := clock()
+	t.Emit(obs.Event{Type: obs.EvPhaseStart, Phase: name})
 	return func() {
 		t.Emit(obs.Event{Type: obs.EvPhaseEnd, Phase: name, DurNS: clock().Sub(start).Nanoseconds()})
 	}
