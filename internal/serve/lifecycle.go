@@ -26,7 +26,6 @@ import (
 
 	"overcell/internal/gen"
 	"overcell/internal/obs/metrics"
-	"overcell/internal/obs/perf"
 	"overcell/internal/obs/span"
 	"overcell/internal/serve/journal"
 )
@@ -109,8 +108,8 @@ func (s *Server) noteID(id string) {
 
 // recoverFinished reconstructs a terminal run from its journal state.
 // The in-memory artifacts a live run carries (level B grid, span tree,
-// perf report) died with the old process, so perf stays nil; the
-// summary, hashes and timings survive.
+// event summary, congestion series) died with the old process; the
+// result summary, hashes and timings survive.
 func (s *Server) recoverFinished(st *journal.RunState) {
 	done := make(chan struct{})
 	close(done)
@@ -151,7 +150,6 @@ func (s *Server) requeue(st *journal.RunState) bool {
 		done:    make(chan struct{}),
 		builder: span.NewBuilder(st.ID, nil),
 		stats:   metrics.NewTracer(nil),
-		perf:    perf.New(perf.Options{Run: st.ID}),
 	}
 	inst, err := gen.ReadJSON(bytes.NewReader(st.Instance))
 	fn, known := s.flows[st.Flow]

@@ -418,10 +418,6 @@ func TestEvictionRecovery(t *testing.T) {
 	if st3.ResultHash != hashes["run-3"] || !st3.Recovered || st3.Result == nil {
 		t.Fatalf("reconstructed run-3 = %+v, want original hash %s", st3, hashes["run-3"])
 	}
-	// Its perf report died with the old process; none is made up.
-	if code, body := getBody(t, ts2.URL+"/runs/run-3/perf"); code != 404 {
-		t.Errorf("recovered run-3 /perf = %d %s, want 404", code, body)
-	}
 	// New submissions must not collide with replayed history.
 	code, st4, raw := postRun(t, ts2.URL, "?flow=baseline&wait=1", inst)
 	if code != 200 || st4.ID != "run-4" {

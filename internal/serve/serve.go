@@ -13,7 +13,6 @@
 //	GET  /runs/{id}/congestion   commit-boundary congestion time-series (JSON)
 //	GET  /runs/{id}/congestion.svg  animated congestion heatmap
 //	GET  /runs/{id}/heatmap.svg  congestion heatmap of a finished run
-//	GET  /runs/{id}/perf       perf-attribution report (live snapshot mid-run)
 //	DELETE /runs/{id}          cancel an active run
 //	GET  /debug/pprof/*        standard pprof handlers
 //
@@ -29,21 +28,21 @@
 // MaxPending caps the queue behind it, and a full queue rejects
 // further submissions with 503.
 //
-// Every run feeds six observers at once: the shared goroutine-safe
+// Every run feeds five observers at once: the shared goroutine-safe
 // metrics.Tracer registered on the server's registry (live /metrics
-// counters), a per-run span.Builder (the run → phase → net trace), a
-// per-run unregistered metrics.Tracer (the aggregate summary shown in
-// the run detail), a per-run perf.Collector (the /runs/{id}/perf
-// attribution report, whose per-phase allocations fold into the
-// cumulative ocroute_perf_phase_allocs_total family when the run
-// finishes), a per-run stream.Broker (the /runs/{id}/events SSE
-// fan-out) and a per-run congest.Series (the /runs/{id}/congestion
-// time-series, sampled at net commit boundaries). The heatmap is not an observer: heatmap.svg tiles the
-// run's kept level B grid on request. Runs execute under pprof labels
-// (run, phase), so profiles captured via /debug/pprof
-// while a job routes are attributable. Config.StreamCap = -1 turns the
-// stream and congestion observers off entirely, restoring the PR 8
-// tracer chain.
+// counters), a per-run span.Builder (the run → phase → net trace, whose
+// summary gives the run's phase times), a per-run unregistered
+// metrics.Tracer (the aggregate summary shown in the run detail), a
+// per-run stream.Broker (the /runs/{id}/events SSE fan-out) and a
+// per-run congest.Series (the /runs/{id}/congestion time-series,
+// sampled at net commit boundaries). The heatmap is not an observer:
+// heatmap.svg tiles the run's kept level B grid on request. There is
+// no per-run allocation report: the runtime's allocation counters are
+// process-wide, and runs overlap. Runs execute under pprof labels
+// (run, phase), which are per goroutine, so profiles captured via
+// /debug/pprof while jobs route are attributable. Config.StreamCap = -1
+// turns the stream and congestion observers off entirely, restoring
+// the PR 8 tracer chain.
 package serve
 
 import (
@@ -67,7 +66,6 @@ import (
 	"overcell/internal/obs"
 	"overcell/internal/obs/congest"
 	"overcell/internal/obs/metrics"
-	"overcell/internal/obs/perf"
 	"overcell/internal/obs/span"
 	"overcell/internal/obs/stream"
 	"overcell/internal/render"
@@ -176,12 +174,6 @@ type Server struct {
 	congestUtilH   *metrics.Gauge
 	congestUtilV   *metrics.Gauge
 
-	// ocroute_perf_phase_allocs_total: cumulative per-phase heap
-	// allocations folded in as each run finishes. Pre-registered so the
-	// family appears in /metrics before the first run completes. Phase
-	// wall time is ocroute_phase_ns_total, from the same phase events.
-	perfPhaseAllocs map[string]*metrics.Counter
-
 	mu     sync.Mutex
 	runs   map[string]*run
 	order  []string // submission order, oldest first
@@ -215,7 +207,6 @@ type run struct {
 	done    chan struct{}
 	builder *span.Builder
 	stats   *metrics.Tracer // the detail view's summary; nothing exports it
-	perf    *perf.Collector // nil on runs recovered in a terminal state
 	// broker fans the run's events out to SSE subscribers; series
 	// records the commit-boundary congestion samples. Both nil when
 	// Config.StreamCap < 0 and on runs recovered in a terminal state
@@ -283,11 +274,6 @@ func New(cfg Config) *Server {
 		"Journal appends that failed; the run proceeded without durability for that record.")
 	s.drainG = reg.Gauge("ocserved_draining",
 		"1 while the server is draining (rejecting new runs, waiting for in-flight ones).")
-	s.perfPhaseAllocs = make(map[string]*metrics.Counter)
-	for _, ph := range []string{"level-a", "level-b", "verify"} {
-		s.perfPhaseAllocs[ph] = reg.Counter("ocroute_perf_phase_allocs_total",
-			"Heap allocations attributed to each flow phase by the perf layer.", metrics.L("phase", ph))
-	}
 	s.streamEvents = reg.Counter("ocserved_stream_events_total",
 		"Events published to run event-stream brokers, folded in as each run finishes.")
 	s.streamDropped = reg.Counter("ocserved_stream_dropped_total",
@@ -350,7 +336,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /runs/{id}", s.handleGet)
 	s.mux.HandleFunc("DELETE /runs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /runs/{id}/heatmap.svg", s.handleHeatmap)
-	s.mux.HandleFunc("GET /runs/{id}/perf", s.handlePerf)
 	s.mux.HandleFunc("GET /runs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /runs/{id}/congestion", s.handleCongestion)
 	s.mux.HandleFunc("GET /runs/{id}/congestion.svg", s.handleCongestionSVG)
@@ -493,7 +478,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cancel:   cancel, done: make(chan struct{}),
 		builder: span.NewBuilder(id, nil),
 		stats:   metrics.NewTracer(nil),
-		perf:    perf.New(perf.Options{Run: id}),
 	}
 	s.attachTelemetry(ru)
 	s.runs[id] = ru
@@ -583,10 +567,8 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 			Timeout:         time.Duration(req.DeadlineMS) * time.Millisecond,
 		},
 		AllowPartial: req.Partial,
-		// Performance attribution: per-run collector, pprof labels so
-		// /debug/pprof profiles captured during the run attribute per
-		// phase.
-		Perf:          ru.perf,
+		// pprof labels, so /debug/pprof profiles captured during the
+		// run attribute per run and phase.
 		RunID:         ru.id,
 		ProfileLabels: true,
 	}
@@ -620,7 +602,6 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 		return ferr
 	})
 	ru.builder.Finish()
-	ru.perf.Finish()
 
 	state := StateDone
 	switch {
@@ -689,7 +670,6 @@ func (s *Server) transition(ru *run, state string, res *flow.Result, err error) 
 	}
 	fault.Crash("serve.finish")
 	s.journalAppend(rec)
-	s.foldPerf(ru.perf.Report())
 }
 
 // terminalRecord builds the journal record for a finalised run: a
@@ -744,24 +724,6 @@ func terminalState(st string) bool {
 		return true
 	}
 	return false
-}
-
-// foldPerf accumulates one finished run's perf report into the
-// cumulative ocroute_perf_phase_allocs_total family. Phases outside the
-// pre-registered vocabulary register their series on first use; s.mu
-// guards the family map against concurrently finishing runs.
-func (s *Server) foldPerf(rep *perf.Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range rep.Phases {
-		allocs, ok := s.perfPhaseAllocs[p.Name]
-		if !ok {
-			allocs = s.reg.Counter("ocroute_perf_phase_allocs_total",
-				"Heap allocations attributed to each flow phase by the perf layer.", metrics.L("phase", p.Name))
-			s.perfPhaseAllocs[p.Name] = allocs
-		}
-		allocs.Add(int64(p.Allocs))
-	}
 }
 
 // pendingLocked counts runs still queued for a routing slot. Caller
@@ -943,25 +905,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, st)
-}
-
-// handlePerf serves the run's perf-attribution report. It works
-// mid-run too: the report is a live snapshot with "complete": false
-// until the run finishes. A run recovered from the journal in a
-// terminal state has no report.
-func (s *Server) handlePerf(w http.ResponseWriter, r *http.Request) {
-	ru := s.lookup(w, r)
-	if ru == nil {
-		return
-	}
-	if ru.perf == nil {
-		http.Error(w, fmt.Sprintf("run %s has no perf report (recovered from the journal)", ru.id), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := ru.perf.Report().WriteJSON(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

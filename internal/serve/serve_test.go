@@ -96,6 +96,12 @@ func TestEndToEnd(t *testing.T) {
 	if st.Spans == nil || st.Spans.Nets == 0 || st.Spans.Open != 0 {
 		t.Fatalf("span summary = %+v", st.Spans)
 	}
+	// The run's own phase times: exact however many runs overlap.
+	for _, ph := range []string{"level-a", "level-b", "verify"} {
+		if st.Spans.PhaseNS[ph] <= 0 {
+			t.Errorf("spans.phase_ns[%q] = %d, want > 0 (%v)", ph, st.Spans.PhaseNS[ph], st.Spans.PhaseNS)
+		}
+	}
 
 	// Detail view: event summary and full span tree.
 	code, body := getBody(t, ts.URL+"/runs/"+st.ID+"?spans=1")
