@@ -13,8 +13,8 @@ import (
 
 // perfReport runs the proposed flow over a fresh ami33-like instance
 // with the whole timing surface pinned: the flow phases on a fixed-step
-// clock, the perf collector on a constant clock, sampler and MemStats
-// reader. Returns the rendered report bytes.
+// clock, the perf collector on a constant clock and sampler. Returns
+// the rendered report bytes.
 func perfReport(t *testing.T) []byte {
 	t.Helper()
 	at := time.Unix(1700000000, 0)
@@ -22,7 +22,6 @@ func perfReport(t *testing.T) []byte {
 		Run:     "ami33",
 		Clock:   func() time.Time { return at },
 		Sampler: func() perf.Sample { return perf.Sample{} },
-		Mem:     func() perf.MemSnap { return perf.MemSnap{} },
 	})
 	opt := Options{
 		Perf:  pc,

@@ -8,10 +8,10 @@ import (
 )
 
 // Options configures a Collector. The zero value measures the live
-// process: wall clock, runtime/metrics sampler, real MemStats.
+// process: wall clock and runtime/metrics sampler.
 type Options struct {
-	// Run identifies the run in the report (an ocserved run id, an
-	// instance name, a bench workload tag).
+	// Run identifies the run in the report (an instance name, a bench
+	// workload tag).
 	Run string
 	// Clock supplies the run-bound timestamps; nil means the wall clock.
 	// Determinism tests inject a constant clock, collapsing the run's
@@ -21,8 +21,6 @@ type Options struct {
 	// boundaries. Nil means RuntimeSampler(). Determinism tests inject a
 	// constant sampler, collapsing every delta to zero.
 	Sampler func() Sample
-	// Mem supplies the run-level MemStats reading. Nil means ReadMem.
-	Mem func() MemSnap
 }
 
 // Collector accumulates one run's performance attribution. It is an
@@ -33,7 +31,6 @@ type Collector struct {
 	runID   string
 	clock   func() time.Time
 	sampler func() Sample
-	mem     func() MemSnap
 
 	mu       sync.Mutex
 	started  bool
@@ -42,8 +39,6 @@ type Collector struct {
 	endT     time.Time
 	startS   Sample
 	endS     Sample
-	startM   MemSnap
-	endM     MemSnap
 	goroPeak int64
 
 	phaseOrder []string
@@ -69,29 +64,23 @@ func New(o Options) *Collector {
 	if smp == nil {
 		smp = RuntimeSampler()
 	}
-	mem := o.Mem
-	if mem == nil {
-		mem = ReadMem
-	}
 	return &Collector{
 		runID:   o.Run,
 		clock:   clk,
 		sampler: smp,
-		mem:     mem,
 		phases:  make(map[string]*phaseAgg),
 	}
 }
 
-// Start opens the run window: first call samples the clock, the
-// runtime counters and MemStats; later calls are no-ops so a shared
-// collector can span several flow invocations.
+// Start opens the run window: first call samples the clock and the
+// runtime counters; later calls are no-ops so a shared collector can
+// span several flow invocations.
 func (c *Collector) Start() {
 	c.mu.Lock()
 	if !c.started {
 		c.started = true
 		c.startT = c.clock()
 		c.startS = c.sampler()
-		c.startM = c.mem()
 		c.noteLocked(c.startS)
 	}
 	c.mu.Unlock()
@@ -105,7 +94,6 @@ func (c *Collector) Finish() {
 		c.finished = true
 		c.endT = c.clock()
 		c.endS = c.sampler()
-		c.endM = c.mem()
 		c.noteLocked(c.endS)
 	}
 	c.mu.Unlock()

@@ -11,8 +11,8 @@ import (
 )
 
 // fakeEnv builds a collector over fully deterministic inputs: a
-// fixed-step clock, a sampler that advances by a constant delta per
-// reading, and a constant MemStats reader.
+// fixed-step clock and a sampler that advances by a constant delta per
+// reading.
 type fakeEnv struct {
 	now   time.Time
 	step  time.Duration
@@ -41,12 +41,8 @@ func (f *fakeEnv) sampler() Sample {
 	return f.s
 }
 
-func (f *fakeEnv) mem() MemSnap {
-	return MemSnap{TotalAllocBytes: 1 << 20, Mallocs: 500, HeapSysBytes: 1 << 22, NumGC: 2, PauseTotalNS: 300}
-}
-
 func (f *fakeEnv) collector(run string) *Collector {
-	return New(Options{Run: run, Clock: f.clock, Sampler: f.sampler, Mem: f.mem})
+	return New(Options{Run: run, Clock: f.clock, Sampler: f.sampler})
 }
 
 // drive replays one synthetic two-phase run through the tracer
@@ -130,7 +126,6 @@ func TestConstantInputsCollapseDurations(t *testing.T) {
 		Run:     "flat",
 		Clock:   func() time.Time { return at },
 		Sampler: func() Sample { return Sample{} },
-		Mem:     func() MemSnap { return MemSnap{} },
 	})
 	drive(c)
 	r := c.Report()
@@ -192,9 +187,6 @@ func TestRuntimeSamplerSmoke(t *testing.T) {
 	}
 	if after.Goroutines <= 0 {
 		t.Errorf("goroutine count = %d, want > 0", after.Goroutines)
-	}
-	if ReadMem().Mallocs == 0 {
-		t.Error("ReadMem returned zero Mallocs")
 	}
 }
 

@@ -5,15 +5,18 @@
 // runtime's allocation counters at every flow phase boundary. Report
 // renders the result as deterministic JSON and a human table.
 //
-// Determinism contract: all inputs that vary between runs — the clock,
-// the runtime sampler, the MemStats reader — are injectable. Under a
-// fixed clock and a fixed sampler the report bytes are identical run
-// to run. See DESIGN.md section 15.
+// The runtime counters are process-wide, so a report is exact only
+// while its run has the process to itself: ocroute -perf-report and
+// the benchmark's traced pass.
+//
+// Determinism contract: the inputs that vary between runs — the clock
+// and the runtime sampler — are injectable. Under a fixed clock and a
+// fixed sampler the report bytes are identical run to run. See
+// DESIGN.md section 15.
 package perf
 
 import (
 	"math"
-	"runtime"
 	rm "runtime/metrics"
 )
 
@@ -143,28 +146,4 @@ func histTotalNS(v *rm.Value) int64 {
 		total += float64(n) * mid
 	}
 	return int64(total * 1e9)
-}
-
-// MemSnap is the heavier run-level runtime.MemStats reading taken once
-// at Start and once at Finish (ReadMemStats stops the world, so it is
-// kept off phase boundaries).
-type MemSnap struct {
-	TotalAllocBytes uint64
-	Mallocs         uint64
-	HeapSysBytes    uint64
-	NumGC           uint32
-	PauseTotalNS    uint64
-}
-
-// ReadMem reads the live runtime's MemStats into a MemSnap.
-func ReadMem() MemSnap {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return MemSnap{
-		TotalAllocBytes: ms.TotalAlloc,
-		Mallocs:         ms.Mallocs,
-		HeapSysBytes:    ms.HeapSys,
-		NumGC:           ms.NumGC,
-		PauseTotalNS:    ms.PauseTotalNs,
-	}
 }
