@@ -7,8 +7,7 @@ import (
 	"strings"
 )
 
-// ReportSchema versions the perf-report JSON document. Schema 2 dropped
-// schema 1's "mem" block.
+// ReportSchema versions the perf-report JSON document.
 const ReportSchema = 2
 
 // Report is one run's performance attribution, rendered from a
