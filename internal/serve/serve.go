@@ -41,8 +41,7 @@
 // process-wide, and runs overlap. Runs execute under pprof labels
 // (run, phase), which are per goroutine, so profiles captured via
 // /debug/pprof while jobs route are attributable. Config.StreamCap = -1
-// turns the stream and congestion observers off entirely, restoring
-// the PR 8 tracer chain.
+// turns the stream and congestion observers off entirely.
 package serve
 
 import (
