@@ -79,7 +79,7 @@ func Greedy(p *Problem) (*Solution, error) {
 	}
 	// Start with as many tracks as the density lower bound; the scan
 	// inserts more when needed.
-	for i := 0; i < p.Density(); i++ {
+	for i, d := 0, p.Density(); i < d; i++ {
 		g.tracks = append(g.tracks, &trk{})
 	}
 	width := p.Width()
