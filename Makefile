@@ -19,16 +19,14 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# lint runs the standard vet suite, then the repo's own analyzers
-# (maporder, checkedverify, pointkey, staticdrc, shadowbuiltin,
-# nondeterm, hotalloc) twice: through the vettool protocol
-# (facts flow via .vetx files) and standalone over the internal and
-# cmd trees (facts flow via go list dependency order) — the standalone
-# pass is what CI's lint job runs with -github annotations.
+# lint checks formatting, runs the standard vet suite, then the repo's
+# own analyzers (maporder, checkedverify, pointkey, staticdrc,
+# shadowbuiltin, nondeterm, hotalloc) over every package and its test
+# files — the same run CI's lint job makes with -github annotations.
 lint: $(OCLINT)
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(OCLINT) ./...
-	$(OCLINT) ./internal/... ./cmd/...
+	$(OCLINT) ./...
 
 $(OCLINT): FORCE
 	$(GO) build -o $(OCLINT) ./cmd/oclint

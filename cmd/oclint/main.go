@@ -1,36 +1,23 @@
-// Command oclint is the router's vettool: it bundles the
-// internal/analysis suite (maporder, checkedverify, pointkey,
-// staticdrc, shadowbuiltin, nondeterm, hotalloc) into a
-// single binary speaking the `go vet` separate-compilation protocol,
-// and doubles as a standalone checker.
+// Command oclint is the router's linter: it runs the internal/analysis
+// suite (maporder, checkedverify, pointkey, staticdrc, shadowbuiltin,
+// nondeterm, hotalloc) over packages loaded with their test files.
 //
-// The fact-propagating analyzers (nondeterm, hotalloc)
-// attach properties to functions and follow them across package
-// boundaries. In standalone mode packages are analyzed in dependency
-// order over one shared fact store; in vet mode facts travel between
-// compilation units through the protocol's .vetx files.
+// The fact-propagating analyzers (nondeterm, hotalloc) attach
+// properties to functions and follow them across package boundaries:
+// packages are analyzed in dependency order over one shared fact
+// store (see internal/analysis/framework).
 //
 // Usage:
 //
-//	go vet -vettool=$(which oclint) ./...   # alongside a normal build
-//	oclint ./...                            # standalone, loads via go list
-//	oclint -github ./...                    # findings as GitHub annotations
-//	oclint help                             # list analyzers
-//
-// The protocol required by `go vet -vettool` (see
-// cmd/go/internal/work/buildid.go and .../vet/vetflag.go):
-//
-//	-V=full    print a content-derived version line for build caching
-//	-flags     describe supported flags as JSON
-//	unit.cfg   analyze the single compilation unit described by the file
+//	oclint ./...           # exit 0 clean, 2 on findings, 1 on errors
+//	oclint -github ./...   # findings also as GitHub annotations
+//	oclint -maporder ./... # run only maporder (-maporder=false skips it)
+//	oclint help            # list analyzers
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -63,34 +50,6 @@ func (t *triState) Set(s string) error {
 	return nil
 }
 
-// versionFlag implements the -V=full half of the vettool protocol: the
-// go command caches vet results keyed on the tool's content hash.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		return fmt.Errorf("unsupported: -V=%s (use -V=full)", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return err
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", exe, h.Sum(nil))
-	os.Exit(0)
-	return nil
-}
-
 func main() {
 	analyzers := analysis.All()
 	if err := framework.Validate(analyzers); err != nil {
@@ -103,23 +62,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, `oclint: static analysis for the overcell router.
 
 usage:
-	go vet -vettool=$(which oclint) ./...
-	oclint [packages]
+	oclint [flags] [packages]
 	oclint help
 `)
 		fs.PrintDefaults()
 	}
-	fs.Var(versionFlag{}, "V", "print version and exit")
-	printflags := fs.Bool("flags", false, "print analyzer flags in JSON")
-	jsonOut := fs.Bool("json", false, "emit JSON output")
-	github := fs.Bool("github", false, "emit findings as GitHub Actions workflow annotations (standalone mode)")
-	fs.Int("c", -1, "display offending line with this many lines of context (ignored)")
-	// Legacy vet shims the go command may relay.
-	fs.Bool("source", false, "no effect (deprecated)")
-	fs.Bool("v", false, "no effect (deprecated)")
-	fs.Bool("all", false, "no effect (deprecated)")
-	fs.String("tags", "", "no effect (deprecated)")
-
+	github := fs.Bool("github", false, "also emit findings as GitHub Actions workflow annotations")
 	enabled := map[string]*triState{}
 	for _, a := range analyzers {
 		t := new(triState)
@@ -127,11 +75,6 @@ usage:
 		fs.Var(t, a.Name, "enable only "+a.Name+" (or -"+a.Name+"=false to disable it)")
 	}
 	fs.Parse(os.Args[1:])
-
-	if *printflags {
-		printFlags(fs)
-		os.Exit(0)
-	}
 
 	analyzers = selectAnalyzers(analyzers, enabled)
 	args := fs.Args()
@@ -143,43 +86,17 @@ usage:
 		os.Exit(0)
 	}
 
-	// go vet mode: a single JSON config file describing one unit.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		framework.RunUnit(args[0], analyzers, *jsonOut)
-		return // unreachable; RunUnit exits
-	}
-
-	// Standalone mode: load packages from source via the go command.
-	// LoadPackages returns them in dependency order (with module
-	// dependencies of narrow patterns included as facts-only packages),
-	// so a single shared fact store gives every analyzer the facts of
-	// everything a package imports.
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	pkgs, err := framework.LoadPackages(".", args...)
+	pkgs, err := framework.Run(".", analyzers, args...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oclint:", err)
 		os.Exit(1)
 	}
-	facts := framework.NewFactStore()
 	exit := 0
 	for _, pkg := range pkgs {
-		pass := framework.Pass{
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		diags, err := framework.RunAnalyzers(pass, analyzers, facts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oclint:", err)
-			os.Exit(1)
-		}
-		if pkg.FactsOnly {
-			continue // analyzed for facts; not named by the patterns
-		}
-		for _, d := range diags {
+		for _, d := range pkg.Diagnostics {
 			posn := pkg.Fset.Position(d.Pos)
 			if *github {
 				// GitHub Actions workflow-command annotations: rendered
@@ -193,27 +110,6 @@ usage:
 		}
 	}
 	os.Exit(exit)
-}
-
-// printFlags answers the go command's -flags query: a JSON list of
-// flags it may relay to the tool.
-func printFlags(fs *flag.FlagSet) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oclint:", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(data)
 }
 
 // selectAnalyzers applies the -NAME flags: any explicit true runs only

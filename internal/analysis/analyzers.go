@@ -4,9 +4,8 @@
 // verification, sound geometry keys and arithmetic, statically valid
 // router configurations, no shadowing of predeclared builtins, no
 // nondeterminism sources reachable from routing code, and allocation
-// discipline on //oc:hotpath functions. cmd/oclint wires
-// them into a vettool runnable as
-// `go vet -vettool=$(which oclint) ./...`.
+// discipline on //oc:hotpath functions. cmd/oclint runs them as
+// `oclint ./...`.
 //
 // The last two analyzers propagate framework facts across function
 // and package boundaries (see facts.go and DESIGN.md section 14), so

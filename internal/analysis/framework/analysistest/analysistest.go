@@ -21,7 +21,9 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -35,25 +37,34 @@ import (
 // reports mismatches between diagnostics and want comments as test
 // failures.
 //
-// All corpora load in one call and share one fact store, with packages
+// The corpora load through framework.Run, the driver cmd/oclint uses:
+// one call, _test.go files included, one shared fact store, packages
 // analyzed in dependency order — so a multi-package corpus (a root
 // package importing a helper package) exercises cross-package fact
-// propagation exactly as the real drivers do. Fact-only dependencies
+// propagation exactly as the linter does. Fact-only dependencies
 // pulled in implicitly are analyzed too, but only the named packages'
-// diagnostics are checked against want comments.
+// diagnostics are checked against want comments. A corpus file that
+// carries a want comment but was not loaded fails the test: its
+// expectations would otherwise pass unchecked.
 func Run(t *testing.T, a *framework.Analyzer, corpora ...string) {
 	t.Helper()
 	patterns := make([]string, len(corpora))
 	for i, c := range corpora {
 		patterns[i] = "./testdata/src/" + c
 	}
-	pkgs, err := framework.LoadPackages(".", patterns...)
+	pkgs, err := framework.Run(".", []*framework.Analyzer{a}, patterns...)
 	if err != nil {
 		t.Fatalf("loading corpora %q: %v", corpora, err)
 	}
-	facts := framework.NewFactStore()
+	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
-		checkPackage(t, a, pkg, facts)
+		for _, f := range pkg.Files {
+			loaded[pkg.Fset.Position(f.Pos()).Filename] = true
+		}
+		checkPackage(t, pkg)
+	}
+	for _, p := range patterns {
+		checkAllLoaded(t, p, loaded)
 	}
 }
 
@@ -62,24 +73,8 @@ type expectation struct {
 	matched bool
 }
 
-func checkPackage(t *testing.T, a *framework.Analyzer, pkg *framework.Package, facts *framework.FactStore) {
+func checkPackage(t *testing.T, pkg *framework.Package) {
 	t.Helper()
-	pass := framework.Pass{
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-	}
-	diags, err := framework.RunAnalyzers(pass, []*framework.Analyzer{a}, facts)
-	if err != nil {
-		t.Fatalf("%s: %v", pkg.Path, err)
-	}
-	if pkg.FactsOnly {
-		// Analyzed for its exported facts only; its diagnostics belong
-		// to no want corpus.
-		return
-	}
-
 	wants := map[string][]*expectation{} // "file:line" -> expectations
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -89,7 +84,7 @@ func checkPackage(t *testing.T, a *framework.Analyzer, pkg *framework.Package, f
 		}
 	}
 
-	for _, d := range diags {
+	for _, d := range pkg.Diagnostics {
 		posn := pkg.Fset.Position(d.Pos)
 		key := fmt.Sprintf("%s:%d", posn.Filename, posn.Line)
 		if !consume(wants[key], d.Message) {
@@ -105,6 +100,44 @@ func checkPackage(t *testing.T, a *framework.Analyzer, pkg *framework.Package, f
 	}
 }
 
+// checkAllLoaded fails the test for every Go file in dir that carries
+// a want comment but is not among the loaded files.
+func checkAllLoaded(t *testing.T, dir string, loaded map[string]bool) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		abs, err := filepath.Abs(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded[abs] {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if hasWant(f) {
+			t.Errorf("%s carries want comments but was not loaded: its expectations are never checked", name)
+		}
+	}
+}
+
+func hasWant(f *ast.File) bool {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if _, ok := wantPatterns(c); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func consume(exps []*expectation, msg string) bool {
 	for _, e := range exps {
 		if !e.matched && e.rx.MatchString(msg) {
@@ -115,21 +148,27 @@ func consume(exps []*expectation, msg string) bool {
 	return false
 }
 
-// collectWants parses one comment for a want directive. The directive
-// applies to the comment's own line.
-func collectWants(t *testing.T, fset *token.FileSet, c *ast.Comment, wants map[string][]*expectation) {
-	t.Helper()
+// wantPatterns returns the pattern list of a want directive, and
+// whether the comment is one.
+func wantPatterns(c *ast.Comment) (string, bool) {
 	text, ok := strings.CutPrefix(c.Text, "/*")
 	if ok {
 		text = strings.TrimSuffix(text, "*/")
 	} else {
 		text = strings.TrimPrefix(c.Text, "//")
 	}
-	text = strings.TrimSpace(text)
-	if !strings.HasPrefix(text, "want ") {
+	rest, ok := strings.CutPrefix(strings.TrimSpace(text), "want ")
+	return strings.TrimSpace(rest), ok
+}
+
+// collectWants parses one comment for a want directive. The directive
+// applies to the comment's own line.
+func collectWants(t *testing.T, fset *token.FileSet, c *ast.Comment, wants map[string][]*expectation) {
+	t.Helper()
+	rest, ok := wantPatterns(c)
+	if !ok {
 		return
 	}
-	rest := strings.TrimSpace(strings.TrimPrefix(text, "want"))
 	posn := fset.Position(c.Pos())
 	key := fmt.Sprintf("%s:%d", posn.Filename, posn.Line)
 	for rest != "" {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // A Fact is a typed property an analyzer attaches to a package-level
@@ -15,9 +14,8 @@ import (
 // the time a caller is checked, the facts of everything it imports are
 // already in the store.
 //
-// Fact types must be JSON-serializable (exported fields) — facts cross
-// process boundaries in `go vet -vettool` mode, where each compilation
-// unit runs in its own invocation and facts travel via .vetx files.
+// Fact types must be JSON-serializable (exported fields): the store
+// keeps each fact encoded, so every import decodes a private copy.
 type Fact interface {
 	// AFact is a marker method; it has no behaviour.
 	AFact() bool
@@ -33,18 +31,15 @@ type factKey struct {
 	Type     string
 }
 
-// FactStore accumulates the facts of an analysis run. One store is
-// shared across every package of a standalone run (dependency order
-// guarantees producers run before consumers); in vet-unit mode the
-// store is seeded from the dependency .vetx files and written back out
-// for dependents.
-type FactStore struct {
+// factStore accumulates the facts of an analysis run. One store is
+// shared across every package of a run; dependency order guarantees
+// producers run before consumers.
+type factStore struct {
 	facts map[factKey]json.RawMessage
 }
 
-// NewFactStore returns an empty store.
-func NewFactStore() *FactStore {
-	return &FactStore{facts: map[factKey]json.RawMessage{}}
+func newFactStore() *factStore {
+	return &factStore{facts: map[factKey]json.RawMessage{}}
 }
 
 // ObjectKey derives the stable cross-package name of a package-level
@@ -81,7 +76,7 @@ func ObjectKey(obj types.Object) (string, bool) {
 	return "", false
 }
 
-func (s *FactStore) key(analyzer string, obj types.Object, fact Fact) (factKey, bool) {
+func (s *factStore) key(analyzer string, obj types.Object, fact Fact) (factKey, bool) {
 	name, ok := ObjectKey(obj)
 	if !ok {
 		return factKey{}, false
@@ -97,7 +92,7 @@ func (s *FactStore) key(analyzer string, obj types.Object, fact Fact) (factKey, 
 // export records fact for obj. Unkeyable objects are silently skipped
 // (the analyzer simply loses propagation through them, it does not
 // crash).
-func (s *FactStore) export(analyzer string, obj types.Object, fact Fact) error {
+func (s *factStore) export(analyzer string, obj types.Object, fact Fact) error {
 	k, ok := s.key(analyzer, obj, fact)
 	if !ok {
 		return nil
@@ -112,7 +107,7 @@ func (s *FactStore) export(analyzer string, obj types.Object, fact Fact) error {
 
 // importFact loads the fact recorded for obj into the value fact
 // points to, reporting whether one was found.
-func (s *FactStore) importFact(analyzer string, obj types.Object, fact Fact) bool {
+func (s *factStore) importFact(analyzer string, obj types.Object, fact Fact) bool {
 	k, ok := s.key(analyzer, obj, fact)
 	if !ok {
 		return false
@@ -123,57 +118,3 @@ func (s *FactStore) importFact(analyzer string, obj types.Object, fact Fact) boo
 	}
 	return json.Unmarshal(data, fact) == nil
 }
-
-// encodedFact is the on-disk (.vetx) representation of one fact.
-type encodedFact struct {
-	Analyzer string
-	Pkg      string
-	Obj      string
-	Type     string
-	Data     json.RawMessage
-}
-
-// Encode serializes the whole store, deterministically ordered. The
-// vet-unit driver writes this as the package's .vetx file; the full
-// store (imported facts included) is re-exported so transitive
-// dependencies flow even when the go command only hands a unit its
-// direct imports' fact files.
-func (s *FactStore) Encode() ([]byte, error) {
-	out := make([]encodedFact, 0, len(s.facts))
-	for k, data := range s.facts {
-		out = append(out, encodedFact{k.Analyzer, k.Pkg, k.Obj, k.Type, data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Type < b.Type
-	})
-	return json.Marshal(out)
-}
-
-// Merge decodes a serialized fact set into the store. Empty input is
-// valid (a package with no facts writes an empty file).
-func (s *FactStore) Merge(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("framework: decoding facts: %w", err)
-	}
-	for _, f := range in {
-		s.facts[factKey{f.Analyzer, f.Pkg, f.Obj, f.Type}] = f.Data
-	}
-	return nil
-}
-
-// Len reports the number of facts in the store.
-func (s *FactStore) Len() int { return len(s.facts) }

@@ -39,11 +39,11 @@ type Rect struct{ X0, Y0, X1, Y1 int }
 type Obstacle struct{ Rect Rect }
 
 var (
-	zeroPitch = Tech{M12Pitch: 0, M34Pitch: 8}     // want `invalid technology: M12Pitch = 0, track pitch must be positive`
-	denseB    = Tech{M12Pitch: 8, M34Pitch: 4}     // want `M34Pitch 4 finer than M12Pitch 8`
-	emptyIv   = Interval{Lo: 5, Hi: 2}             // want `inverted interval bounds \[5,2\]`
-	emptyIv2  = Iv(7, 3)                           // want `inverted interval bounds Iv\(7, 3\)`
-	badW      = Weights{WL: -1, Window: 2}         // want `invalid router weights: WL = -1`
+	zeroPitch = Tech{M12Pitch: 0, M34Pitch: 8}      // want `invalid technology: M12Pitch = 0, track pitch must be positive`
+	denseB    = Tech{M12Pitch: 8, M34Pitch: 4}      // want `M34Pitch 4 finer than M12Pitch 8`
+	emptyIv   = Interval{Lo: 5, Hi: 2}              // want `inverted interval bounds \[5,2\]`
+	emptyIv2  = Iv(7, 3)                            // want `inverted interval bounds Iv\(7, 3\)`
+	badW      = Weights{WL: -1, Window: 2}          // want `invalid router weights: WL = -1`
 	badCfg    = Config{MaxCorners: -2, MaxPaths: 4} // want `invalid router config: MaxCorners = -2`
 
 	badObstacles = []Obstacle{
