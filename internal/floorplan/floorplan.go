@@ -150,9 +150,8 @@ type Layout struct {
 	Rows   []*Row
 	Margin int
 
-	placed         bool
-	channelHeights []int
-	width, height  int
+	placed        bool
+	width, height int
 }
 
 // New returns an empty layout.
@@ -252,7 +251,6 @@ func (l *Layout) Place(channelHeights []int) error {
 	}
 	l.width = maxW + l.Margin
 	l.height = y + l.Margin
-	l.channelHeights = append([]int(nil), channelHeights...)
 	l.placed = true
 	return nil
 }
@@ -271,14 +269,6 @@ func (l *Layout) Area() int64 { return int64(l.width) * int64(l.height) }
 
 // Bounds returns the chip rectangle.
 func (l *Layout) Bounds() geom.Rect { return geom.R(0, 0, l.width, l.height) }
-
-// ChannelRect returns the rectangle of channel i (the space between
-// row i and row i+1). Valid only after Place.
-func (l *Layout) ChannelRect(i int) geom.Rect {
-	r := l.Rows[i]
-	y0 := r.y + r.height
-	return geom.R(0, y0, l.width, y0+l.channelHeights[i])
-}
 
 // RowRect returns the full-width band of row i.
 func (l *Layout) RowRect(i int) geom.Rect {
@@ -309,15 +299,6 @@ func (l *Layout) Cells() []*Cell {
 	var out []*Cell
 	for _, r := range l.Rows {
 		out = append(out, r.Cells...)
-	}
-	return out
-}
-
-// AllPins returns every pin in deterministic (row, cell, pin) order.
-func (l *Layout) AllPins() []*Pin {
-	var out []*Pin
-	for _, c := range l.Cells() {
-		out = append(out, c.Pins...)
 	}
 	return out
 }

@@ -104,10 +104,6 @@ func TestChannelAndRowRects(t *testing.T) {
 	if err := l.Place([]int{40}); err != nil {
 		t.Fatal(err)
 	}
-	ch := l.ChannelRect(0)
-	if ch.Y0 != 76 || ch.Y1 != 116 {
-		t.Errorf("channel rect %v, want y 76..116", ch)
-	}
 	rr := l.RowRect(0)
 	if rr.Y0 != 16 || rr.Y1 != 76 {
 		t.Errorf("row rect %v, want y 16..76", rr)

@@ -145,13 +145,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// Expand grows r by d units on every side. Negative d shrinks; the
-// result is re-canonicalised so a large negative d collapses to the
-// centre rather than producing an inverted rectangle.
-func (r Rect) Expand(d int) Rect {
-	return R(r.X0-d, r.Y0-d, r.X1+d, r.Y1+d)
-}
-
 // Center returns the midpoint of r (rounded toward X0/Y0).
 func (r Rect) Center() Point {
 	return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2}

@@ -137,16 +137,6 @@ func TestRectIntersectSymmetric(t *testing.T) {
 	}
 }
 
-func TestRectExpand(t *testing.T) {
-	r := R(2, 2, 8, 8)
-	if got := r.Expand(2); got != R(0, 0, 10, 10) {
-		t.Errorf("Expand(2) = %v", got)
-	}
-	if got := r.Expand(-10); got.Width() < 0 || got.Height() < 0 {
-		t.Errorf("Expand(-10) produced non-canonical %v", got)
-	}
-}
-
 func TestRectFromPointsAndCenter(t *testing.T) {
 	r := RectFromPoints(Pt(9, 1), Pt(3, 7))
 	if r != R(3, 1, 9, 7) {

@@ -89,14 +89,6 @@ func (s *IntervalSet) Clone() *IntervalSet {
 	return c
 }
 
-// CopyFrom replaces the receiver's contents with a deep copy of src,
-// reusing the receiver's backing storage when it has capacity. This is
-// the copy primitive behind grid's copy-on-write tracks: a track copied
-// once keeps its buffer for every later snapshot epoch.
-func (s *IntervalSet) CopyFrom(src *IntervalSet) {
-	s.ivs = append(s.ivs[:0], src.ivs...)
-}
-
 // search returns the index of the first interval with Hi >= x.
 func (s *IntervalSet) search(x int) int {
 	return sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= x })
@@ -196,16 +188,6 @@ func (s *IntervalSet) Contains(x int) bool {
 	return i < len(s.ivs) && s.ivs[i].Lo <= x
 }
 
-// ContainsAll reports whether every integer of iv is in the set.
-// An empty iv is trivially contained.
-func (s *IntervalSet) ContainsAll(iv Interval) bool {
-	if iv.Empty() {
-		return true
-	}
-	i := s.search(iv.Lo)
-	return i < len(s.ivs) && s.ivs[i].Lo <= iv.Lo && s.ivs[i].Hi >= iv.Hi
-}
-
 // Overlaps reports whether any integer of iv is in the set.
 func (s *IntervalSet) Overlaps(iv Interval) bool {
 	if iv.Empty() {
@@ -246,24 +228,4 @@ func (s *IntervalSet) ClearSpanAround(x int, bounds Interval) (Interval, bool) {
 		lo = Max(lo, s.ivs[i-1].Hi+1)
 	}
 	return Interval{lo, hi}, true
-}
-
-// Complement returns the maximal clear (not-in-set) intervals within
-// bounds, in ascending order.
-func (s *IntervalSet) Complement(bounds Interval) []Interval {
-	if bounds.Empty() {
-		return nil
-	}
-	var out []Interval
-	cur := bounds.Lo
-	for i := s.search(bounds.Lo); i < len(s.ivs) && s.ivs[i].Lo <= bounds.Hi; i++ {
-		if s.ivs[i].Lo > cur {
-			out = append(out, Interval{cur, s.ivs[i].Lo - 1})
-		}
-		cur = Max(cur, s.ivs[i].Hi+1)
-	}
-	if cur <= bounds.Hi {
-		out = append(out, Interval{cur, bounds.Hi})
-	}
-	return out
 }

@@ -112,9 +112,6 @@ func TestIntervalSetContainsQueries(t *testing.T) {
 	if !s.Contains(2) || !s.Contains(4) || s.Contains(5) || s.Contains(1) {
 		t.Error("Contains wrong")
 	}
-	if !s.ContainsAll(Iv(2, 4)) || s.ContainsAll(Iv(2, 5)) || s.ContainsAll(Iv(4, 8)) {
-		t.Error("ContainsAll wrong")
-	}
 	if !s.Overlaps(Iv(4, 8)) || s.Overlaps(Iv(5, 7)) || !s.Overlaps(Iv(0, 2)) {
 		t.Error("Overlaps wrong")
 	}
@@ -148,29 +145,6 @@ func TestClearSpanAround(t *testing.T) {
 	var e IntervalSet
 	if iv, ok := e.ClearSpanAround(5, bounds); !ok || iv != bounds {
 		t.Errorf("empty-set ClearSpanAround = %v,%v", iv, ok)
-	}
-}
-
-func TestComplement(t *testing.T) {
-	var s IntervalSet
-	s.Add(Iv(2, 4))
-	s.Add(Iv(8, 9))
-	got := s.Complement(Iv(0, 12))
-	want := []Interval{{0, 1}, {5, 7}, {10, 12}}
-	if len(got) != len(want) {
-		t.Fatalf("Complement = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Complement[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if c := s.Complement(Iv(3, 3)); len(c) != 0 {
-		t.Errorf("Complement inside blocked span = %v, want empty", c)
-	}
-	var e IntervalSet
-	if c := e.Complement(Iv(5, 4)); c != nil {
-		t.Errorf("Complement of empty bounds = %v, want nil", c)
 	}
 }
 

@@ -173,24 +173,6 @@ func (g *Grid) InRange(col, row int) bool {
 	return col >= 0 && col < len(g.xs) && row >= 0 && row < len(g.ys)
 }
 
-// ColAt returns the column whose track lies exactly at x.
-func (g *Grid) ColAt(x int) (int, bool) {
-	i := sort.SearchInts(g.xs, x)
-	if i < len(g.xs) && g.xs[i] == x {
-		return i, true
-	}
-	return 0, false
-}
-
-// RowAt returns the row whose track lies exactly at y.
-func (g *Grid) RowAt(y int) (int, bool) {
-	j := sort.SearchInts(g.ys, y)
-	if j < len(g.ys) && g.ys[j] == y {
-		return j, true
-	}
-	return 0, false
-}
-
 // NearestCol returns the column whose track is closest to x (ties go
 // to the lower index).
 func (g *Grid) NearestCol(x int) int { return nearest(g.xs, x) }
@@ -225,14 +207,8 @@ func (g *Grid) SpanLengthY(a, b int) int { return geom.Abs(g.ys[a] - g.ys[b]) }
 // BlockH marks the column span cols of row as blocked on LayerH.
 func (g *Grid) BlockH(row int, cols geom.Interval) { g.blockH[row].Add(cols) }
 
-// UnblockH removes the column span from row's LayerH blockage.
-func (g *Grid) UnblockH(row int, cols geom.Interval) { g.blockH[row].Remove(cols) }
-
 // BlockV marks the row span rows of col as blocked on LayerV.
 func (g *Grid) BlockV(col int, rows geom.Interval) { g.blockV[col].Add(rows) }
-
-// UnblockV removes the row span from col's LayerV blockage.
-func (g *Grid) UnblockV(col int, rows geom.Interval) { g.blockV[col].Remove(rows) }
 
 // BlockPoint blocks the single grid point on both layers (a via or a
 // terminal stack).

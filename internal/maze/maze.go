@@ -88,21 +88,16 @@ type Result struct {
 // index-space window (cols, rows); pass the full grid range for an
 // unrestricted search.
 func Route(g *grid.Grid, from, to tig.Point, cols, rows geom.Interval) (*Result, bool) {
-	return RouteTraced(g, from, to, cols, rows, nil)
+	return RouteBudgeted(g, from, to, cols, rows, nil, nil)
 }
 
-// RouteTraced is Route with an observability hook: when tr is enabled
-// it receives one obs.EvMaze event per search carrying the wave's
-// expansion count, mirroring the obs.EvMBFS events of the TIG search
-// so the two baselines are comparable in one trace stream.
-func RouteTraced(g *grid.Grid, from, to tig.Point, cols, rows geom.Interval, tr obs.Tracer) (*Result, bool) {
-	return RouteBudgeted(g, from, to, cols, rows, tr, nil)
-}
-
-// RouteBudgeted is RouteTraced with a work budget: every wave state
-// visited is charged against b. When the budget trips mid-search the
-// wave stops, Result.Err carries the typed cause and the search
-// reports failure. A nil budget is unbounded.
+// RouteBudgeted is Route with an observability hook and a work budget.
+// When tr is enabled it receives one obs.EvMaze event per search
+// carrying the wave's expansion count, mirroring the obs.EvMBFS events
+// of the TIG search so the two baselines are comparable in one trace
+// stream. Every wave state visited is charged against b. When the
+// budget trips mid-search the wave stops, Result.Err carries the typed
+// cause and the search reports failure. A nil budget is unbounded.
 func RouteBudgeted(g *grid.Grid, from, to tig.Point, cols, rows geom.Interval, tr obs.Tracer, b *robust.Budget) (*Result, bool) {
 	res, ok := route(g, from, to, cols, rows, b)
 	if t := obs.OrNop(tr); t.Enabled() {

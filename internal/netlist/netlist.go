@@ -1,8 +1,9 @@
 // Package netlist models the interconnection sets the router consumes:
-// nets with two or more terminals, net classes, and the partition of
-// the netlist into set A (channel-routed on metal1/metal2) and set B
-// (routed over the entire layout on metal3/metal4), as described in
-// section 2 of Katsadas & Chen (DAC 1990).
+// nets with two or more terminals and net classes. The flows partition
+// the nets by class into set A (channel-routed on metal1/metal2) and
+// set B (routed over the entire layout on metal3/metal4), as described
+// in section 2 of Katsadas & Chen (DAC 1990); see gen.NetSpec.LevelA
+// and flow.Options.Partition.
 //
 // Entire nets are assigned to exactly one set; multi-terminal nets are
 // never split across the two sets, so every two-terminal partition of
@@ -18,9 +19,8 @@ import (
 	"overcell/internal/robust"
 )
 
-// Class describes the functional role of a net. The partitioning
-// policies in this package use classes to decide which routing level a
-// net belongs to.
+// Class describes the functional role of a net. The flows' partition
+// uses classes to decide which routing level a net belongs to.
 type Class int
 
 // Net classes, ordered roughly by routing priority.
@@ -142,15 +142,6 @@ func (nl *Netlist) Net(id NetID) *Net {
 // Nets returns the nets in ID order. The returned slice is shared;
 // callers must not reorder it.
 func (nl *Netlist) Nets() []*Net { return nl.nets }
-
-// TotalPins returns the total terminal count over all nets.
-func (nl *Netlist) TotalPins() int {
-	total := 0
-	for _, n := range nl.nets {
-		total += len(n.Terminals)
-	}
-	return total
-}
 
 // Validate checks structural soundness: every net has at least two
 // terminals and no net has two terminals at the same position.

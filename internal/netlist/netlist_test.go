@@ -92,46 +92,6 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestTotalPins(t *testing.T) {
-	nl := New()
-	nl.AddPoints("a", Signal, geom.Pt(0, 0), geom.Pt(1, 1))
-	nl.AddPoints("b", Signal, geom.Pt(0, 1), geom.Pt(1, 0), geom.Pt(4, 4))
-	if got := nl.TotalPins(); got != 5 {
-		t.Errorf("TotalPins = %d, want 5", got)
-	}
-}
-
-func TestPartitionPolicies(t *testing.T) {
-	nl := New()
-	nl.AddPoints("sig", Signal, geom.Pt(0, 0), geom.Pt(9, 9))
-	nl.AddPoints("crit", Critical, geom.Pt(0, 0), geom.Pt(1, 1))
-	nl.AddPoints("clk", Timing, geom.Pt(0, 0), geom.Pt(2, 2))
-	nl.AddPoints("pwr", Power, geom.Pt(0, 0), geom.Pt(3, 3))
-
-	p := Split(nl, ByClass)
-	if len(p.A) != 2 || len(p.B) != 2 {
-		t.Errorf("ByClass split = %d/%d, want 2/2", len(p.A), len(p.B))
-	}
-	if p.A[0].Name != "crit" || p.A[1].Name != "clk" {
-		t.Errorf("ByClass A = %v,%v", p.A[0].Name, p.A[1].Name)
-	}
-
-	p = Split(nl, AllA)
-	if len(p.A) != 4 || len(p.B) != 0 {
-		t.Errorf("AllA split = %d/%d", len(p.A), len(p.B))
-	}
-	p = Split(nl, AllB)
-	if len(p.A) != 0 || len(p.B) != 4 {
-		t.Errorf("AllB split = %d/%d", len(p.A), len(p.B))
-	}
-
-	p = Split(nl, MaxHalfPerimeter(6))
-	// sig hp=18 -> B; crit hp=2, clk hp=4, pwr hp=6 -> A
-	if len(p.A) != 3 || len(p.B) != 1 || p.B[0].Name != "sig" {
-		t.Errorf("MaxHalfPerimeter split = %d/%d", len(p.A), len(p.B))
-	}
-}
-
 func TestSortByHalfPerimeter(t *testing.T) {
 	nl := New()
 	nl.AddPoints("short", Signal, geom.Pt(0, 0), geom.Pt(1, 1))
