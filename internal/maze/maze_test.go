@@ -104,7 +104,7 @@ func TestViaNeedsBothLayers(t *testing.T) {
 	if !ok {
 		t.Fatal("corner-avoiding route failed")
 	}
-	for _, p := range res.Path.CornerPoints() {
+	for _, p := range res.Path.AppendCorners(nil) {
 		if p == (tig.Point{Col: 4, Row: 3}) {
 			t.Error("via placed on a half-blocked point")
 		}

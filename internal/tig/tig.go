@@ -99,57 +99,36 @@ type Path struct {
 
 // Corners returns the number of direction changes (vias) of the path.
 func (p Path) Corners() int {
-	if len(p.Points) < 3 {
-		return 0
-	}
 	n := 0
 	for i := 1; i < len(p.Points)-1; i++ {
-		a, b, c := p.Points[i-1], p.Points[i], p.Points[i+1]
-		vertIn := a.Col == b.Col && a.Row != b.Row
-		vertOut := b.Col == c.Col && b.Row != c.Row
-		if vertIn != vertOut {
+		if p.cornerAt(i) {
 			n++
 		}
 	}
 	return n
 }
 
-// CornerPoints returns the interior points where the path changes
-// direction. The path selector calls it once per candidate inside its
-// bounding loop, so the result is sized up front.
-//
-//oc:hotpath
-func (p Path) CornerPoints() []Point {
-	if len(p.Points) < 3 {
-		return nil
-	}
-	out := make([]Point, 0, len(p.Points)-2)
-	for i := 1; i < len(p.Points)-1; i++ {
-		a, b, c := p.Points[i-1], p.Points[i], p.Points[i+1]
-		vertIn := a.Col == b.Col && a.Row != b.Row
-		vertOut := b.Col == c.Col && b.Row != c.Row
-		if vertIn != vertOut {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// AppendCorners appends the interior direction-change points to dst
-// and returns it, the allocation-free form of CornerPoints for callers
-// that evaluate many candidate paths against a reusable buffer.
+// AppendCorners appends the interior points where the path changes
+// direction to dst and returns it. Callers that evaluate many
+// candidate paths pass a reusable buffer.
 //
 //oc:hotpath
 func (p Path) AppendCorners(dst []Point) []Point {
 	for i := 1; i < len(p.Points)-1; i++ {
-		a, b, c := p.Points[i-1], p.Points[i], p.Points[i+1]
-		vertIn := a.Col == b.Col && a.Row != b.Row
-		vertOut := b.Col == c.Col && b.Row != c.Row
-		if vertIn != vertOut {
-			dst = append(dst, b)
+		if p.cornerAt(i) {
+			dst = append(dst, p.Points[i])
 		}
 	}
 	return dst
+}
+
+// cornerAt reports whether the path changes direction at interior
+// point i.
+func (p Path) cornerAt(i int) bool {
+	a, b, c := p.Points[i-1], p.Points[i], p.Points[i+1]
+	vertIn := a.Col == b.Col && a.Row != b.Row
+	vertOut := b.Col == c.Col && b.Row != c.Row
+	return vertIn != vertOut
 }
 
 // Validate checks the structural invariants of a path: at least two

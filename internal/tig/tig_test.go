@@ -53,7 +53,7 @@ func TestLShape(t *testing.T) {
 	// Both L orientations must be found: corners (2,6) and (7,2).
 	found := map[Point]bool{}
 	for _, p := range res.Paths {
-		cs := p.CornerPoints()
+		cs := p.AppendCorners(nil)
 		if len(cs) != 1 {
 			t.Errorf("path %v has %d corners", p.Points, len(cs))
 			continue
@@ -245,10 +245,10 @@ func TestPathCornersGeometry(t *testing.T) {
 	if got := p.Corners(); got != 3 {
 		t.Errorf("Corners = %d, want 3", got)
 	}
-	cs := p.CornerPoints()
+	cs := p.AppendCorners(nil)
 	want := []Point{{0, 5}, {3, 5}, {3, 9}}
 	if len(cs) != len(want) {
-		t.Fatalf("CornerPoints = %v", cs)
+		t.Fatalf("AppendCorners = %v", cs)
 	}
 	for i := range want {
 		if cs[i] != want[i] {
