@@ -453,7 +453,7 @@ func BenchmarkChannelRouters(b *testing.B) {
 }
 
 // BenchmarkSteinerLibrary exercises the pure geometric RST/MST
-// construction used by wire estimation.
+// construction of internal/steiner.
 func BenchmarkSteinerLibrary(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	pts := make([]geom.Point, 24)

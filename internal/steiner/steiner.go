@@ -6,9 +6,9 @@
 //
 // This package is purely geometric (no obstacles); the obstacle-aware
 // embedding of the same idea lives in internal/core, which re-routes
-// each attachment with the level B path search. The geometric version
-// is used for wire length estimation, for the level A global router,
-// and for the ablation benchmarks.
+// each attachment with the level B path search. No routing flow imports
+// this package: it is timed on its own, by bench/'s Steiner replay
+// (steiner.rst_us) and by the root package's BenchmarkSteinerLibrary.
 package steiner
 
 import (
