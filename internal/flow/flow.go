@@ -21,6 +21,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"slices"
@@ -269,6 +270,13 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 		}
 		sol, err := routeChannel(prob, algo)
 		if err != nil {
+			// Level A built the problem from valid input, so a channel it
+			// cannot solve (cyclic constraints, two pins of one net folded
+			// into one slot) is unroutable, unless the router broke an
+			// invariant.
+			if !errors.Is(err, robust.ErrInternal) {
+				err = fmt.Errorf("%w: %w", err, robust.ErrUnroutable)
+			}
 			return nil, fmt.Errorf("flow: channel %d: %w", i, err)
 		}
 		res.heights[i] = sol.Height(pitch)

@@ -15,6 +15,7 @@ import (
 	"overcell/internal/floorplan"
 	"overcell/internal/geom"
 	"overcell/internal/netlist"
+	"overcell/internal/robust"
 
 	"overcell/internal/channel"
 )
@@ -53,7 +54,7 @@ func Assign(l *floorplan.Layout, nets []Net) (*Assignment, error) {
 		if len(nets) == 0 {
 			return &Assignment{ColPitch: l.Tech.M12Pitch, NetFeedthroughLen: map[int]int{}}, nil
 		}
-		return nil, fmt.Errorf("global: %d nets but the layout has no channels", len(nets))
+		return nil, robust.Invalidf("global: %d nets but the layout has no channels", len(nets))
 	}
 	pitch := l.Tech.M12Pitch
 	ncols := l.Width()/pitch + 1
@@ -87,7 +88,7 @@ const (
 
 func assignNet(l *floorplan.Layout, a *Assignment, ft *feedthroughs, net Net, ncols int) error {
 	if len(net.Pins) < 2 {
-		return fmt.Errorf("global: net %q has %d pin(s)", net.Name, len(net.Pins))
+		return robust.Invalidf("global: net %q has %d pin(s)", net.Name, len(net.Pins))
 	}
 	nch := l.NumChannels()
 	num := int(net.ID) + 1 // channel net numbers are 1-based
@@ -97,7 +98,7 @@ func assignNet(l *floorplan.Layout, a *Assignment, ft *feedthroughs, net Net, nc
 	for _, p := range net.Pins {
 		c := p.ChannelIndex()
 		if c < 0 || c >= nch {
-			return fmt.Errorf("global: net %q pin %q.%q faces no channel (index %d)",
+			return robust.Invalidf("global: net %q pin %q.%q faces no channel (index %d)",
 				net.Name, p.Cell().Name, p.Name, c)
 		}
 		if c < minC {
@@ -129,7 +130,8 @@ func assignNet(l *floorplan.Layout, a *Assignment, ft *feedthroughs, net Net, nc
 	for r := minC + 1; r <= maxC; r++ {
 		x, ok := ft.take(r, trunkX)
 		if !ok {
-			return fmt.Errorf("global: net %q: no feedthrough capacity in row %d", net.Name, r)
+			return fmt.Errorf("global: net %q: no feedthrough capacity in row %d: %w",
+				net.Name, r, robust.ErrUnroutable)
 		}
 		col := x / a.ColPitch
 		if err := placePin(a.Problems[r-1], sideTop, col, num, ncols); err != nil {
@@ -167,7 +169,7 @@ func placePin(p *channel.Problem, side, col, net, ncols int) error {
 			}
 		}
 	}
-	return fmt.Errorf("channel edge full (%d columns)", ncols)
+	return fmt.Errorf("channel edge full (%d columns): %w", ncols, robust.ErrUnroutable)
 }
 
 // feedthroughs tracks the column slots available for vertical wires

@@ -9,6 +9,7 @@ import (
 
 	"overcell/internal/core"
 	"overcell/internal/flow"
+	"overcell/internal/gen"
 	"overcell/internal/robust"
 )
 
@@ -46,16 +47,7 @@ func runHostile(t *testing.T, seed int64) {
 			seed, c.Mutations, used, harnessTotalBudget)
 	}
 	if err != nil {
-		if !errors.Is(err, robust.ErrInvalidInput) &&
-			!errors.Is(err, robust.ErrUnroutable) &&
-			!errors.Is(err, robust.ErrBudgetExhausted) &&
-			!errors.Is(err, robust.ErrCanceled) &&
-			!errors.Is(err, robust.ErrInternal) {
-			// Level A sub-phases may surface untyped errors; record
-			// them so the taxonomy's coverage gaps stay visible.
-			t.Logf("seed %d (%v): untyped error: %v", seed, c.Mutations, err)
-		}
-		return
+		return // TestFlowErrorsTypedAndDeterministic checks the class
 	}
 	// A clean return must be internally consistent: the level B result
 	// exists, was verified inside the flow, and the degraded count
@@ -83,6 +75,63 @@ func TestHostileInstancesDegradeGracefully(t *testing.T) {
 	}
 	for seed := int64(0); seed < 30; seed++ {
 		runHostile(t, seed)
+	}
+}
+
+// TestFlowErrorsTypedAndDeterministic runs every flow over the hostile
+// corpus under the harness budgets, twice on the same instance. Every
+// failure must match a caller-owned taxonomy class, and the second run
+// must repeat the first: same error text, same result hash. That a
+// failed run fails the same way again is why ocserved executes a run
+// once per process life.
+func TestFlowErrorsTypedAndDeterministic(t *testing.T) {
+	flows := []struct {
+		name string
+		run  func(*gen.Instance, flow.Options) (*flow.Result, error)
+	}{
+		{"baseline", flow.TwoLayerBaseline},
+		{"proposed", flow.Proposed},
+		{"channel4", flow.FourLayerChannel},
+		{"channelfree", flow.ChannelFree},
+	}
+	outcome := func(res *flow.Result, err error) string {
+		var s string
+		if res != nil {
+			s = "hash " + flow.Hash(res)
+		}
+		if err != nil {
+			s += " error " + err.Error()
+		}
+		return s
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		c, err := FromSeed(seed)
+		if err != nil {
+			continue // the generator rejected an unsatisfiable layout
+		}
+		for _, f := range flows {
+			opt := flow.Options{
+				Limits: robust.Limits{
+					NetExpansions:   harnessNetBudget,
+					TotalExpansions: harnessTotalBudget,
+				},
+				AllowPartial: true,
+			}
+			res, err := f.run(c.Inst, opt)
+			if err != nil &&
+				!errors.Is(err, robust.ErrInvalidInput) &&
+				!errors.Is(err, robust.ErrUnroutable) &&
+				!errors.Is(err, robust.ErrBudgetExhausted) &&
+				!errors.Is(err, robust.ErrCanceled) {
+				t.Errorf("seed %d %s (%v): error matches no caller-owned class: %v",
+					seed, f.name, c.Mutations, err)
+			}
+			first := outcome(res, err)
+			if again := outcome(f.run(c.Inst, opt)); again != first {
+				t.Errorf("seed %d %s (%v): re-run differs:\n first %s\n again %s",
+					seed, f.name, c.Mutations, first, again)
+			}
+		}
 	}
 }
 
