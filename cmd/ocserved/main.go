@@ -33,9 +33,10 @@
 // runs reappear under /runs with their result hashes, and runs that
 // were pending or in flight when the process died are requeued and
 // re-executed (the router is deterministic, so the recovered results
-// are byte-identical). -journal-fsync picks the durability/latency
-// trade-off; -retries enables supervised re-execution of internal
-// failures.
+// are byte-identical). That requeue is the only re-execution: a run
+// routes once per process life, because a deterministic run that fails
+// once fails the same way every time. -journal-fsync picks the
+// durability/latency trade-off.
 //
 // Shutdown is a two-stage drain: the first SIGINT/SIGTERM stops
 // admissions (healthz 503 "draining", POST /runs 503 + Retry-After)
@@ -60,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"overcell/internal/robust"
 	"overcell/internal/serve"
 	"overcell/internal/serve/journal"
 	"overcell/internal/version"
@@ -94,8 +94,6 @@ func main() {
 	journalDir := flag.String("journal", "", "directory for the run-lifecycle journal (empty = no durability)")
 	journalSync := flag.String("journal-fsync", "always", "journal fsync policy: always (power-loss durable) or never (process-crash durable, cheaper)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight runs get to finish after the first SIGTERM before being checkpointed for requeue")
-	retries := flag.Int("retries", 1, "attempts per run; failures classified retryable (internal errors, panics) are re-executed up to this many times")
-	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "backoff after the first failed attempt, doubling per retry")
 	streamCap := flag.Int("stream-cap", 0, "per-run event ring for /runs/{id}/events SSE subscribers (0 = default, negative disables streaming and congestion telemetry)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json (written to stderr)")
 	logLevel := flag.String("log-level", "info", "minimum structured log level: debug, info, warn or error")
@@ -117,7 +115,6 @@ func main() {
 	cfg := serve.Config{
 		MaxRuns: *maxRuns, MaxPending: *maxPending, KeepRuns: *keepRuns,
 		BaseCtx:   ctx,
-		Retry:     robust.Policy{MaxAttempts: *retries, BaseDelay: *retryBase, Cap: 10 * time.Second},
 		StreamCap: *streamCap, Version: version.String(), Logger: logger,
 	}
 

@@ -14,11 +14,12 @@
 // Error taxonomy. All routing failures funnel into four sentinel
 // classes plus one escape hatch, matched with errors.Is:
 //
-//   - ErrInvalidInput: the request was malformed (empty net, duplicate
-//     terminals, zero-track grid, terminal inside an obstacle). The
-//     caller must fix the input; retrying cannot help.
+//   - ErrInvalidInput: the request was malformed (empty or single-pin
+//     net, duplicate terminals, zero-track grid, terminal inside an
+//     obstacle). The caller must fix the input; retrying cannot help.
 //   - ErrUnroutable: the input was valid but no realisation exists
-//     within the search's corner and window limits. Retrying with a
+//     within the search's corner and window limits, or level A ran out
+//     of feedthrough slots or channel capacity. Retrying with a
 //     different configuration (more rip-up passes, relaxed visit rule)
 //     may help.
 //   - ErrBudgetExhausted: the configured work budget (expansion count
@@ -30,6 +31,12 @@
 //   - ErrInternal: an invariant the code relies on was violated (a
 //     recovered panic, a track missing from its own list). Always a
 //     bug; never the caller's fault.
+//
+// Apart from deadline and cancellation trips, which depend on the
+// clock and the caller, a failure is deterministic: the same input and
+// configuration fail with the same error every time, so nothing
+// retries a failed run (internal/robust/fault pins this on its hostile
+// corpus).
 //
 // Errors carry net and phase provenance via the Error wrapper so a
 // per-net failure deep in the search surfaces at the API boundary as

@@ -1,126 +1,16 @@
 package robust
 
-import (
-	"context"
-	"errors"
-	"time"
-)
+import "time"
 
-// Policy is a typed-error-aware retry policy: how many attempts a
-// supervised operation gets and how long to back off between them.
-// The zero value means "one attempt, no retries", so plumbing a
-// Policy through existing code changes nothing until configured.
+// Policy is ignored: a routing run executes once per process life. The
+// router is deterministic, so a run that fails once fails the same way
+// every time; only a process death is transient, and the service
+// recovers from that by requeueing the run from its journal.
 //
-// Backoff is deterministic exponential: attempt n (1-based) waits
-// BaseDelay << (n-1), clamped to Cap. No jitter — the router's
-// determinism discipline extends to its supervision layer, and the
-// per-run retry streams a single server drives are few enough that
-// thundering herds are not a concern at this layer.
+// Deprecated: Policy exists only so that the benchmark under bench/,
+// which must also build against older checkouts, keeps compiling.
 type Policy struct {
-	// MaxAttempts caps total executions (first try included). Values
-	// below 1 behave as 1.
 	MaxAttempts int
-	// BaseDelay is the wait after the first failed attempt.
-	BaseDelay time.Duration
-	// Cap bounds the exponential growth; 0 means uncapped.
-	Cap time.Duration
-}
-
-// Attempts returns the effective attempt cap (at least 1).
-func (p Policy) Attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Delay returns the backoff before attempt+1, given that attempt
-// (1-based) just failed: BaseDelay << (attempt-1), clamped to Cap and
-// overflow-safe.
-func (p Policy) Delay(attempt int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	if attempt < 1 {
-		attempt = 1
-	}
-	shift := attempt - 1
-	d := p.BaseDelay
-	// 63 shifts would always overflow int64; beyond the cap point the
-	// clamp makes further doubling moot.
-	for i := 0; i < shift; i++ {
-		d <<= 1
-		if d < 0 || (p.Cap > 0 && d >= p.Cap) {
-			d = p.Cap
-			if d == 0 {
-				d = 1<<63 - 1
-			}
-			break
-		}
-	}
-	if p.Cap > 0 && d > p.Cap {
-		d = p.Cap
-	}
-	return d
-}
-
-// Retryable classifies an error against the taxonomy for supervised
-// re-execution:
-//
-//	ErrInvalidInput    terminal — the input is wrong; retrying cannot help
-//	ErrUnroutable      terminal — deterministic search, same answer every time
-//	ErrBudgetExhausted terminal — the caller's own limit; retrying spends it again
-//	ErrCanceled        terminal — the caller asked to stop
-//	ErrInternal        retryable — invariant violation or recovered panic;
-//	                   transient state (a poisoned cache, a scheduling
-//	                   fluke) may clear on re-execution
-//	anything else      retryable — unclassified failures are assumed
-//	                   transient; MaxAttempts bounds the damage
-//
-// A nil error is not retryable.
-func Retryable(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrInvalidInput), errors.Is(err, ErrUnroutable),
-		errors.Is(err, ErrBudgetExhausted), errors.Is(err, ErrCanceled):
-		return false
-	}
-	return true
-}
-
-// Do runs fn under the policy: fn(attempt) is called with 1-based
-// attempt numbers until it succeeds, returns a terminal error, or the
-// attempt cap is reached; between attempts Do sleeps the backoff.
-// sleep is injectable for tests (nil means a timer bounded by ctx).
-// A ctx canceled during backoff stops immediately with fn's last
-// error. Do reports the attempts consumed alongside the final error.
-func (p Policy) Do(ctx context.Context, sleep func(time.Duration), fn func(attempt int) error) (attempts int, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if sleep == nil {
-		sleep = func(d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
-	}
-	limit := p.Attempts()
-	for attempt := 1; ; attempt++ {
-		attempts = attempt
-		err = fn(attempt)
-		if err == nil || !Retryable(err) || attempt >= limit || ctx.Err() != nil {
-			return attempts, err
-		}
-		if d := p.Delay(attempt); d > 0 {
-			sleep(d)
-		}
-		if ctx.Err() != nil {
-			return attempts, err
-		}
-	}
+	BaseDelay   time.Duration
+	Cap         time.Duration
 }

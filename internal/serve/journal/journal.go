@@ -61,8 +61,9 @@ const (
 	// KindAccepted carries the full canonical instance payload and its
 	// hash: everything needed to re-execute the run from scratch.
 	KindAccepted = "accepted"
-	// KindStarted marks one routing attempt entering execution; Attempt
-	// numbers them from 1 so retries are visible in the log.
+	// KindStarted marks a run entering execution, once per process
+	// life, with Attempt 1; replay counts the records, so a requeued
+	// run's lives are visible in the log.
 	KindStarted = "started"
 	// KindFinished is terminal: State says how (done, partial, failed,
 	// canceled), Result/ResultHash record what was produced.

@@ -16,8 +16,8 @@ type RunState struct {
 	Opts         RunOpts
 	Accepted     time.Time
 
-	// Attempts counts started records (retries included); Started is
-	// the first attempt's timestamp.
+	// Attempts counts started records (one per process life); Started
+	// is the first one's timestamp.
 	Attempts int
 	Started  time.Time
 	// State is the terminal state from the finished record, or "" for

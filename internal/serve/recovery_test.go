@@ -1,7 +1,7 @@
 package serve
 
-// Crash-safety tests: journal-backed recovery, drain lifecycle, retry
-// supervision, and eviction-vs-replay interactions. The crash here is
+// Crash-safety tests: journal-backed recovery, drain lifecycle, one
+// execution per failed run, and eviction-vs-replay interactions. The crash here is
 // in-process — a journaled server is abandoned mid-run and a second
 // server replays its journal — which the race detector can see through
 // (the CI chaos-smoke job does the real kill -9 against the binary).
@@ -273,48 +273,66 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 }
 
-// TestRetrySupervision: a flow failing with retryable internal errors
-// is re-executed under the policy (attempts surfaced, retries
-// counted); terminal classes get exactly one attempt.
-func TestRetrySupervision(t *testing.T) {
-	var slept atomic.Int32
-	s := New(Config{
-		Retry:      robust.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		RetrySleep: func(time.Duration) { slept.Add(1) },
-	})
-	var flakyCalls, doomedCalls atomic.Int32
-	s.flows["flaky"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
-		if flakyCalls.Add(1) <= 2 {
-			return nil, fmt.Errorf("phantom routing conflict: %w", robust.ErrInternal)
-		}
-		return flow.Proposed(in, opt)
+// TestFailedRunExecutesOnce: a failed run routes exactly once, whatever
+// its error class. The routing is deterministic, so an internal error
+// and an unroutable instance would both fail the same way again; the
+// run finishes failed after one execution, journaled with one started
+// record, and no retry family is exported.
+func TestFailedRunExecutesOnce(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.ndjson")
+	j, _ := openJournal(t, wal)
+	s := New(Config{Journal: j})
+	var internalCalls, unroutableCalls atomic.Int32
+	s.flows["internal"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
+		internalCalls.Add(1)
+		return nil, fmt.Errorf("phantom routing conflict: %w", robust.ErrInternal)
 	}
-	s.flows["doomed"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
-		doomedCalls.Add(1)
+	s.flows["unroutable"] = func(in *gen.Instance, opt flow.Options) (*flow.Result, error) {
+		unroutableCalls.Add(1)
 		return nil, fmt.Errorf("no path exists: %w", robust.ErrUnroutable)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	inst := testInstance(t)
 
-	code, st, raw := postRun(t, ts.URL, "?flow=flaky&wait=1", inst)
-	if code != 200 || st.State != StateDone {
-		t.Fatalf("supervised run = %d %s", code, raw)
+	ids := map[string]bool{}
+	for _, c := range []struct {
+		flow  string
+		calls *atomic.Int32
+	}{
+		{"internal", &internalCalls},
+		{"unroutable", &unroutableCalls},
+	} {
+		code, st, raw := postRun(t, ts.URL, "?flow="+c.flow+"&wait=1", inst)
+		if code != 200 || st.State != StateFailed || st.Attempts != 1 || c.calls.Load() != 1 {
+			t.Fatalf("%s run = %d state %s attempts %d calls %d, want failed/1/1 (%s)",
+				c.flow, code, st.State, st.Attempts, c.calls.Load(), raw)
+		}
+		ids[st.ID] = true
 	}
-	if st.Attempts != 3 || flakyCalls.Load() != 3 || slept.Load() != 2 {
-		t.Fatalf("attempts=%d calls=%d sleeps=%d, want 3/3/2",
-			st.Attempts, flakyCalls.Load(), slept.Load())
+	if _, mbody := getBody(t, ts.URL+"/metrics"); strings.Contains(mbody, "ocroute_run_retries") {
+		t.Error("metrics still export a run retries family")
 	}
-	if _, mbody := getBody(t, ts.URL+"/metrics"); !strings.Contains(mbody, "ocroute_run_retries_total 2") {
-		t.Error("metrics missing ocroute_run_retries_total 2")
-	}
+	j.Close()
 
-	// Terminal classification: the policy allows 3 attempts, but an
-	// unroutable instance must consume exactly one.
-	_, st2, _ := postRun(t, ts.URL, "?flow=doomed&wait=1", inst)
-	if st2.State != StateFailed || st2.Attempts != 1 || doomedCalls.Load() != 1 {
-		t.Fatalf("terminal run = state %s attempts %d calls %d, want failed/1/1",
-			st2.State, st2.Attempts, doomedCalls.Load())
+	raw, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, torn, err := journal.DecodeAll(bytes.NewReader(raw))
+	if err != nil || torn {
+		t.Fatalf("decode journal: torn %v err %v", torn, err)
+	}
+	started := map[string]int{}
+	for _, rec := range recs {
+		if rec.Kind == journal.KindStarted {
+			started[rec.Run]++
+		}
+	}
+	for id := range ids {
+		if started[id] != 1 {
+			t.Errorf("run %s journaled %d started records, want 1", id, started[id])
+		}
 	}
 }
 

@@ -105,16 +105,14 @@ type Config struct {
 	// durability, never availability: the run proceeds and the failure
 	// is counted in ocroute_journal_write_errors_total.
 	Journal *journal.Journal
-	// Retry supervises run execution: attempts classified retryable by
-	// robust.Retryable (internal invariant violations, recovered
-	// panics) are re-executed up to Retry.Attempts() with deterministic
-	// exponential backoff. The zero value means one attempt, no
-	// retries. Terminal classes (invalid input, unroutable, budget
-	// exhausted, canceled) are never retried.
+	// Retry is ignored: a run executes once per process life, because
+	// a deterministic run that fails once fails the same way every
+	// time. Requeue from the journal after a process death is the only
+	// re-execution.
+	//
+	// Deprecated: Retry exists only so that the benchmark under bench/,
+	// which must also build against older checkouts, keeps compiling.
 	Retry robust.Policy
-	// RetrySleep overrides the backoff sleeper (tests inject an
-	// immediate one). Nil means a timer bounded by the run's context.
-	RetrySleep func(time.Duration)
 	// StreamCap sizes each run's event-stream ring buffer (events
 	// retained for SSE replay and Last-Event-ID resume). 0 means
 	// stream.DefaultCap; negative disables live telemetry entirely — no
@@ -152,10 +150,9 @@ type Server struct {
 	httpReqs *metrics.Counter
 
 	// Run-lifecycle durability families (PR 8): recovery outcomes,
-	// supervised retries, journal write failures, and the drain state
-	// the load balancer watches via /healthz.
+	// journal write failures, and the drain state the load balancer
+	// watches via /healthz.
 	recovered   map[string]*metrics.Counter // by outcome
-	retries     *metrics.Counter
 	journalErrs *metrics.Counter
 	drainG      *metrics.Gauge
 	draining    atomic.Bool
@@ -193,7 +190,7 @@ type run struct {
 	// imply equal result hashes — the invariant crash recovery checks.
 	instHash   string
 	resultHash string
-	// attempts counts routing attempts (retries included); recovered
+	// attempts counts routing executions (one per process life); recovered
 	// marks a run reconstructed or requeued from the journal; requeue
 	// marks an in-flight run checkpoint-canceled by a drain, to be
 	// journaled as interrupted (= requeue on next start) rather than
@@ -267,8 +264,6 @@ func New(cfg Config) *Server {
 		s.recovered[oc] = reg.Counter("ocroute_runs_recovered_total",
 			"Runs reconstructed from the journal at startup, by outcome.", metrics.L("outcome", oc))
 	}
-	s.retries = reg.Counter("ocroute_run_retries_total",
-		"Routing attempts re-executed by the retry supervisor after a retryable failure.")
 	s.journalErrs = reg.Counter("ocroute_journal_write_errors_total",
 		"Journal appends that failed; the run proceeded without durability for that record.")
 	s.drainG = reg.Gauge("ocserved_draining",
@@ -543,6 +538,7 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 		return
 	}
 	ru.state = StateRunning
+	ru.attempts = 1
 	ru.started = time.Now() //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
 	queued := ru.started.Sub(ru.submitted)
 	s.mu.Unlock()
@@ -574,32 +570,19 @@ func (s *Server) execute(ctx context.Context, ru *run, fn flowFn, inst *gen.Inst
 	if ru.series != nil {
 		opts.Congest = &congestObserver{series: ru.series, s: s}
 	}
-	// Supervised execution: each attempt is journaled before it routes
-	// (so a crash mid-attempt requeues on restart), and retryable
-	// failures — internal invariant violations, recovered panics — are
-	// re-executed under the configured policy. Terminal classes never
-	// re-route (see robust.Retryable).
-	var res *flow.Result
-	_, err := s.cfg.Retry.Do(ctx, s.cfg.RetrySleep, func(attempt int) error {
-		s.mu.Lock()
-		ru.attempts = attempt
-		s.mu.Unlock()
-		if attempt > 1 {
-			s.retries.Inc()
-			s.log.Warn("retrying run after retryable failure", "run_id", ru.id, "attempt", attempt)
-		}
-		s.log.Info("run attempt started",
-			"run_id", ru.id, "attempt", attempt, "flow", ru.flowName,
-			"queue_wait_ms", queued.Milliseconds())
-		s.journalAppend(&journal.Record{
-			Kind: journal.KindStarted, Run: ru.id, Attempt: attempt,
-			Time: time.Now(), //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
-		})
-		fault.Crash("serve.started")
-		var ferr error
-		res, ferr = fn(inst, opts)
-		return ferr
+	// One execution per process life: the routing is deterministic, so
+	// a failure would repeat on re-execution. The started record is
+	// journaled before the run routes, so a crash mid-run requeues it on
+	// restart — the one re-execution there is.
+	s.log.Info("run attempt started",
+		"run_id", ru.id, "attempt", 1, "flow", ru.flowName,
+		"queue_wait_ms", queued.Milliseconds())
+	s.journalAppend(&journal.Record{
+		Kind: journal.KindStarted, Run: ru.id, Attempt: 1,
+		Time: time.Now(), //oc:clock-ok run lifecycle timestamps are ops metadata, not routing inputs
 	})
+	fault.Crash("serve.started")
+	res, err := fn(inst, opts)
 	ru.builder.Finish()
 
 	state := StateDone
@@ -787,13 +770,14 @@ type RunStatus struct {
 	// InstanceHash is the canonical content hash of the submitted
 	// instance; ResultHash digests the routed result once finished.
 	// Together they state the determinism contract: equal instance
-	// hashes produce equal result hashes, across retries, restarts and
-	// crash recovery.
+	// hashes produce equal result hashes, across restarts and crash
+	// recovery.
 	InstanceHash string `json:"instance_hash,omitempty"`
 	ResultHash   string `json:"result_hash,omitempty"`
-	// Attempts counts routing attempts (1 unless the retry supervisor
-	// re-executed); Recovered marks a run reconstructed or requeued
-	// from the journal after a restart.
+	// Attempts counts routing executions: 1 for a run of this process,
+	// one per process life for a finished run replayed from the journal;
+	// Recovered marks a run reconstructed or requeued from the journal
+	// after a restart.
 	Attempts  int  `json:"attempts,omitempty"`
 	Recovered bool `json:"recovered,omitempty"`
 	// DurationMS is the elapsed routing time: started to finished, or
