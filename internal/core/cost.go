@@ -29,7 +29,7 @@ type costEvaluator struct {
 	cbuf []tig.Point
 }
 
-func newCostEvaluator(g *grid.Grid, w Weights) *costEvaluator {
+func newCostEvaluator(g *grid.Grid, w Weights) costEvaluator {
 	b := g.Bounds()
 	spanX, spanY := b.Width(), b.Height()
 	nTracks := g.NX() + g.NY() - 2
@@ -40,7 +40,7 @@ func newCostEvaluator(g *grid.Grid, w Weights) *costEvaluator {
 	if w.Window <= 0 {
 		w.Window = 2
 	}
-	return &costEvaluator{g: g, w: w, normPitch: pitch}
+	return costEvaluator{g: g, w: w, normPitch: pitch}
 }
 
 // pathLength returns the layout-unit length of the new metal the path

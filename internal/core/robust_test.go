@@ -83,8 +83,7 @@ func TestRetryWithRipupNoTerminals(t *testing.T) {
 	net := nl.Nets()[0]
 	// A net that snapped to no terminals has no congestion window to
 	// free; the retry must decline rather than panic.
-	env := &routeEnv{g: g, tr: r.tr, budget: r.cfg.Budget, eval: newCostEvaluator(g, r.cfg.Weights)}
-	if r.retryWithRipup(env, net, nl.Nets(), map[netlist.NetID][]tig.Point{}, nil, nil, nil, nil) {
+	if r.retryWithRipup(net, nl.Nets(), map[netlist.NetID][]tig.Point{}, nil, nil, nil, nil) {
 		t.Error("retryWithRipup claimed success for a net with no terminals")
 	}
 }

@@ -63,33 +63,29 @@ type Result struct {
 
 // Router routes level B nets on a shared grid. The grid may already
 // contain obstacles (from grid.BlockRect) and previously committed
-// routing; a Router does not take ownership of it.
+// routing; a Router does not take ownership of it. A Router is not
+// safe for concurrent use: Route mutates the grid and reuses the
+// router's search scratch.
 type Router struct {
-	g   *grid.Grid
-	cfg Config
-	tr  obs.Tracer
+	g    *grid.Grid
+	cfg  Config
+	tr   obs.Tracer
+	eval costEvaluator
+	// search is the reusable TIG searcher: every two-terminal
+	// connection of every net runs on the same scratch arenas. A Search
+	// invalidates the previous Search's result memory, which is safe
+	// because connect/selectBest/addPath consume each result fully
+	// before the next search starts.
+	search *tig.Searcher
 }
 
 // New returns a router over g.
 func New(g *grid.Grid, cfg Config) *Router {
-	return &Router{g: g, cfg: cfg, tr: cfg.tracer()}
-}
-
-// routeEnv is the execution surface of one Route call: the grid, the
-// tracer, the run budget and the pooled search scratch that every
-// routing attempt reuses. Config knobs are still read from the Router —
-// they are immutable for the duration of a run.
-type routeEnv struct {
-	g      *grid.Grid
-	tr     obs.Tracer
-	budget *robust.Budget
-	eval   *costEvaluator
-	// search is the attempt's reusable TIG searcher: every two-terminal
-	// connection of every net routed through this env runs on the same
-	// scratch arenas. A Search invalidates the previous Search's result
-	// memory, which is safe here because connect/selectBest/addPath
-	// consume each result fully before the next search starts.
-	search *tig.Searcher
+	return &Router{
+		g: g, cfg: cfg, tr: cfg.tracer(),
+		eval:   newCostEvaluator(g, cfg.Weights),
+		search: tig.NewSearcher(),
+	}
 }
 
 // Route routes the given nets and commits their metal to the grid.
@@ -115,11 +111,6 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 			r.g.MarkTerminal(p.Col, p.Row)
 		}
 	}
-	env := &routeEnv{
-		g: r.g, tr: r.tr, budget: r.cfg.Budget,
-		eval:   newCostEvaluator(r.g, r.cfg.Weights),
-		search: tig.NewSearcher(),
-	}
 	res := &Result{}
 	ordered := orderNets(nets, r.cfg.Order)
 	ranks := make(map[netlist.NetID]int, len(ordered))
@@ -128,10 +119,10 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 	}
 	routes := make(map[netlist.NetID]*NetRoute, len(nets))
 	shapes := make(map[netlist.NetID]*shape, len(nets))
-	sticky := r.routeAllSerial(env, ordered, termPts, routes, shapes, res)
+	sticky := r.routeAllSerial(ordered, termPts, routes, shapes, res)
 	if sticky == nil {
-		r.recover(env, ordered, termPts, ranks, routes, shapes, res)
-		sticky = env.budget.Err() // a trip during recovery still surfaces
+		r.recover(ordered, termPts, ranks, routes, shapes, res)
+		sticky = r.cfg.Budget.Err() // a trip during recovery still surfaces
 	}
 	for _, net := range ordered {
 		nr := routes[net.ID]
@@ -151,17 +142,17 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 
 // routeAllSerial is the first pass: one net at a time in routing order,
 // the paper's serial level B loop.
-func (r *Router) routeAllSerial(env *routeEnv, ordered []*netlist.Net,
+func (r *Router) routeAllSerial(ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
 	res *Result) error {
 	var sticky error
 	for rank, net := range ordered {
-		if sticky = r.pollSticky(env, sticky); sticky != nil {
+		if sticky = r.pollSticky(sticky); sticky != nil {
 			routes[net.ID] = skippedRoute(net, termPts[net.ID], sticky)
 			continue
 		}
-		nr, sh := r.routeNet(env, net, termPts[net.ID], res, rank+1)
+		nr, sh := r.routeNet(net, termPts[net.ID], res, rank+1)
 		routes[net.ID] = nr
 		shapes[net.ID] = sh
 	}
@@ -171,14 +162,14 @@ func (r *Router) routeAllSerial(env *routeEnv, ordered []*netlist.Net,
 // pollSticky folds the budget's run-level state into sticky, emitting
 // the run-level EvBudget event once on the first trip. The first pass
 // calls it before every net.
-func (r *Router) pollSticky(env *routeEnv, sticky error) error {
+func (r *Router) pollSticky(sticky error) error {
 	if sticky != nil {
 		return sticky
 	}
-	if sticky = env.budget.Err(); sticky != nil && env.tr.Enabled() {
-		env.tr.Emit(obs.Event{
+	if sticky = r.cfg.Budget.Err(); sticky != nil && r.tr.Enabled() {
+		r.tr.Emit(obs.Event{
 			Type: obs.EvBudget, Phase: "level-b",
-			Expanded: int(env.budget.Used()), Failed: true,
+			Expanded: int(r.cfg.Budget.Used()), Failed: true,
 		})
 	}
 	return sticky
@@ -197,12 +188,12 @@ func skippedRoute(net *netlist.Net, terms []tig.Point, cause error) *NetRoute {
 // not complete lifts a set of committed nets out of its congestion
 // window, takes the freed space first, and the lifted nets re-route
 // after it. Passes repeat while they make progress.
-func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
+func (r *Router) recover(ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
 	res *Result) {
 	for pass := 0; pass < r.cfg.ripupPasses(); pass++ {
-		if env.budget.Err() != nil {
+		if r.cfg.Budget.Err() != nil {
 			return
 		}
 		progress := false
@@ -211,22 +202,22 @@ func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
 			if routes[net.ID].Err == nil {
 				continue
 			}
-			if env.budget.Err() != nil {
+			if r.cfg.Budget.Err() != nil {
 				return
 			}
 			attempts++
-			if r.retryWithRipup(env, net, ordered, termPts, ranks, routes, shapes, res) {
+			if r.retryWithRipup(net, ordered, termPts, ranks, routes, shapes, res) {
 				progress = true
 			}
 		}
-		if env.tr.Enabled() {
+		if r.tr.Enabled() {
 			failed := 0
 			for _, net := range ordered {
 				if routes[net.ID].Err != nil {
 					failed++
 				}
 			}
-			env.tr.Emit(obs.Event{Type: obs.EvRipupPass, Step: pass, Victims: attempts, Paths: failed})
+			r.tr.Emit(obs.Event{Type: obs.EvRipupPass, Step: pass, Victims: attempts, Paths: failed})
 		}
 		if !progress {
 			return
@@ -236,7 +227,7 @@ func (r *Router) recover(env *routeEnv, ordered []*netlist.Net,
 
 // retryWithRipup attempts to complete one failed net by freeing its
 // congestion window. It reports whether the net now routes.
-func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netlist.Net,
+func (r *Router) retryWithRipup(net *netlist.Net, ordered []*netlist.Net,
 	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
 	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
 	res *Result) bool {
@@ -251,8 +242,8 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		cols = geom.Iv(geom.Min(cols.Lo, p.Col), geom.Max(cols.Hi, p.Col))
 		rows = geom.Iv(geom.Min(rows.Lo, p.Row), geom.Max(rows.Hi, p.Row))
 	}
-	cols = geom.Iv(cols.Lo-margin, cols.Hi+margin).Intersect(geom.Iv(0, env.g.NX()-1))
-	rows = geom.Iv(rows.Lo-margin, rows.Hi+margin).Intersect(geom.Iv(0, env.g.NY()-1))
+	cols = geom.Iv(cols.Lo-margin, cols.Hi+margin).Intersect(geom.Iv(0, r.g.NX()-1))
+	rows = geom.Iv(rows.Lo-margin, rows.Hi+margin).Intersect(geom.Iv(0, r.g.NY()-1))
 
 	// Victims: committed nets with metal inside the window. Nets merely
 	// passing through (no terminal inside) are preferred — they can
@@ -296,15 +287,15 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		victims = victims[:maxVictims]
 	}
 
-	r.liftNet(env, net.ID, termPts, shapes)
+	r.liftNet(net.ID, termPts, shapes)
 	for _, v := range victims {
-		r.liftNet(env, v.net.ID, termPts, shapes)
+		r.liftNet(v.net.ID, termPts, shapes)
 	}
 	// The stuck net routes first into the freed window, then the
 	// victims re-route in their original serial order. Every retry
 	// keeps the net's original 1-based rank so trace events stay
 	// attributable to the net's position in the routing order.
-	nr, sh := r.routeNet(env, net, terms, res, ranks[net.ID])
+	nr, sh := r.routeNet(net, terms, res, ranks[net.ID])
 	routes[net.ID], shapes[net.ID] = nr, sh
 	lifted := make(map[netlist.NetID]bool, len(victims))
 	for _, v := range victims {
@@ -314,26 +305,26 @@ func (r *Router) retryWithRipup(env *routeEnv, net *netlist.Net, ordered []*netl
 		if !lifted[cand.ID] {
 			continue
 		}
-		vnr, vsh := r.routeNet(env, cand, termPts[cand.ID], res, ranks[cand.ID])
+		vnr, vsh := r.routeNet(cand, termPts[cand.ID], res, ranks[cand.ID])
 		routes[cand.ID], shapes[cand.ID] = vnr, vsh
 	}
 	ok := routes[net.ID].Err == nil
-	if env.tr.Enabled() {
-		env.tr.Emit(obs.Event{Type: obs.EvRipup, Net: net.Name, Victims: len(victims), Failed: !ok})
+	if r.tr.Enabled() {
+		r.tr.Emit(obs.Event{Type: obs.EvRipup, Net: net.Name, Victims: len(victims), Failed: !ok})
 	}
 	return ok
 }
 
 // liftNet removes a net's committed metal from the grid (its terminal
 // stacks stay blocked: terminal positions are fixed geometry).
-func (r *Router) liftNet(env *routeEnv, id netlist.NetID, termPts map[netlist.NetID][]tig.Point, shapes map[netlist.NetID]*shape) {
+func (r *Router) liftNet(id netlist.NetID, termPts map[netlist.NetID][]tig.Point, shapes map[netlist.NetID]*shape) {
 	if sh := shapes[id]; sh != nil {
-		sh.lift(env.g)
+		sh.lift(r.g)
 	}
 	// Lifting spans can erase the blockage of coincident terminal
 	// points (interval sets hold no reference counts); restore it.
 	for _, p := range termPts[id] {
-		env.g.BlockPoint(p.Col, p.Row)
+		r.g.BlockPoint(p.Col, p.Row)
 	}
 }
 
@@ -378,42 +369,42 @@ func (r *Router) snapTerminals(nets []*netlist.Net) (map[netlist.NetID][]tig.Poi
 // routeNet realises one net: its terminals are lifted out of the
 // blockage, its two-terminal connections are routed one by one (Prim
 // order for multi-terminal nets), and the accumulated shape is
-// committed back to env's grid. rank is the net's 1-based serial
+// committed back to the grid. rank is the net's 1-based serial
 // routing position; rip-up retries pass the original rank again so
 // per-net attribution survives recovery.
-func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, res *Result, rank int) (*NetRoute, *shape) {
+func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank int) (*NetRoute, *shape) {
 	nr := &NetRoute{Net: net, Terminals: terms}
-	env.budget.BeginNet()
-	if env.tr.Enabled() {
-		env.tr.Emit(obs.Event{Type: obs.EvNetStart, Net: net.Name, Rank: rank, Terminals: len(terms)})
+	r.cfg.Budget.BeginNet()
+	if r.tr.Enabled() {
+		r.tr.Emit(obs.Event{Type: obs.EvNetStart, Net: net.Name, Rank: rank, Terminals: len(terms)})
 	}
 	// The net's own terminal stacks must be transparent to its own
 	// search.
 	for _, p := range terms {
-		env.g.ClearTerminal(p.Col, p.Row)
+		r.g.ClearTerminal(p.Col, p.Row)
 	}
 	sh := newShape()
-	env.eval.own = sh
+	r.eval.own = sh
 	defer func() {
-		env.eval.own = nil
-		sh.commit(env.g)
+		r.eval.own = nil
+		sh.commit(r.g)
 		// Terminal stacks block both layers for everyone else even
 		// when the terminal lies mid-segment of its own net.
 		for _, p := range terms {
-			env.g.BlockPoint(p.Col, p.Row)
+			r.g.BlockPoint(p.Col, p.Row)
 		}
 		nr.Segments = sh.segments()
 		nr.Vias = sh.viaPoints()
-		nr.WireLength = sh.wireLength(env.g)
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		nr.WireLength = sh.wireLength(r.g)
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvNetDone, Net: net.Name, Wire: nr.WireLength,
 				Vias: len(nr.Vias), Corners: nr.Corners, Expanded: nr.Expanded,
 				Escalated: nr.Escalations, Failed: nr.Err != nil,
 			})
 		}
 		if r.cfg.Congest != nil {
-			r.cfg.Congest.NetCommitted(rank, net.Name, nr.Err != nil, env.g)
+			r.cfg.Congest.NetCommitted(rank, net.Name, nr.Err != nil, r.g)
 		}
 	}()
 
@@ -427,7 +418,7 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 	termTest := func(p tig.Point) bool { return isTerm[p] }
 
 	if r.cfg.PlainMST {
-		r.routeMST(env, nr, terms, sh, termTest, res)
+		r.routeMST(nr, terms, sh, termTest, res)
 		return nr, sh
 	}
 
@@ -458,9 +449,9 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 		if sh.containsPoint(p) {
 			continue // tree already passes through this terminal
 		}
-		path, err := r.connect(env, nr, p, bestTarget, res)
+		path, err := r.connect(nr, p, bestTarget, res)
 		if err != nil {
-			nr.Err = r.failNet(env, net.Name, err, nr)
+			nr.Err = r.failNet(net.Name, err, nr)
 			return nr, sh
 		}
 		sh.addPath(path, termTest)
@@ -473,12 +464,12 @@ func (r *Router) routeNet(env *routeEnv, net *netlist.Net, terms []tig.Point, re
 // cause is a budget trip or cancellation, emits one EvBudget event so
 // traces show where the work ran out. Failed marks sticky trips that
 // end the whole run (the run-level poll in Route is what acts on them).
-func (r *Router) failNet(env *routeEnv, name string, err error, nr *NetRoute) error {
-	if env.tr.Enabled() &&
+func (r *Router) failNet(name string, err error, nr *NetRoute) error {
+	if r.tr.Enabled() &&
 		(errors.Is(err, robust.ErrBudgetExhausted) || errors.Is(err, robust.ErrCanceled)) {
-		env.tr.Emit(obs.Event{
+		r.tr.Emit(obs.Event{
 			Type: obs.EvBudget, Net: name, Phase: "level-b",
-			Expanded: nr.Expanded, Failed: env.budget.Err() != nil,
+			Expanded: nr.Expanded, Failed: r.cfg.Budget.Err() != nil,
 		})
 	}
 	return robust.Wrap("level-b", name, err)
@@ -486,7 +477,7 @@ func (r *Router) failNet(env *routeEnv, name string, err error, nr *NetRoute) er
 
 // routeMST is the ablation decomposition: a plain minimum spanning
 // tree over the terminal points only, each edge routed independently.
-func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *shape, termTest func(tig.Point) bool, res *Result) {
+func (r *Router) routeMST(nr *NetRoute, terms []tig.Point, sh *shape, termTest func(tig.Point) bool, res *Result) {
 	inTree := make([]bool, len(terms))
 	inTree[0] = true
 	for n := 1; n < len(terms); n++ {
@@ -505,9 +496,9 @@ func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *sh
 				}
 			}
 		}
-		path, err := r.connect(env, nr, terms[bestJ], terms[bestI], res)
+		path, err := r.connect(nr, terms[bestJ], terms[bestI], res)
 		if err != nil {
-			nr.Err = r.failNet(env, nr.Net.Name, err, nr)
+			nr.Err = r.failNet(nr.Net.Name, err, nr)
 			return
 		}
 		sh.addPath(path, termTest)
@@ -525,7 +516,7 @@ func (r *Router) routeMST(env *routeEnv, nr *NetRoute, terms []tig.Point, sh *sh
 // only when "the solution space for level B routing guarantees 100%
 // routing completion"; the relaxed retry recovers the connections the
 // fast strict search misses in dense pin pockets.
-func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *Result) (tig.Path, error) {
+func (r *Router) connect(nr *NetRoute, from, to tig.Point, res *Result) (tig.Path, error) {
 	if from == to {
 		return tig.Path{Points: []tig.Point{from}}, nil
 	}
@@ -533,11 +524,11 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	colHi := geom.Max(from.Col, to.Col)
 	rowLo := geom.Min(from.Row, to.Row)
 	rowHi := geom.Max(from.Row, to.Row)
-	fullCols := geom.Iv(0, env.g.NX()-1)
-	fullRows := geom.Iv(0, env.g.NY()-1)
+	fullCols := geom.Iv(0, r.g.NX()-1)
+	fullRows := geom.Iv(0, r.g.NY()-1)
 
 	attempt := func(cfg tig.Config) (tig.Path, bool, error) {
-		sr, ok := env.search.Search(env.g, from, to, cfg)
+		sr, ok := r.search.Search(r.g, from, to, cfg)
 		if sr != nil {
 			res.Expanded += sr.Expanded
 			nr.Expanded += sr.Expanded
@@ -551,9 +542,9 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 			}
 			return tig.Path{}, false, nil
 		}
-		best, _, pruned := env.eval.selectBest(sr.Paths)
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		best, _, pruned := r.eval.selectBest(sr.Paths)
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvSelect, Net: nr.Net.Name, Paths: len(sr.Paths),
 				Pruned: pruned, Corners: best.Corners(),
 			})
@@ -564,16 +555,16 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	for step, m := range r.cfg.expansions() {
 		if step > 0 {
 			nr.Escalations++
-			if env.tr.Enabled() {
-				env.tr.Emit(obs.Event{Type: obs.EvEscalate, Net: nr.Net.Name, Step: step + 1, Margin: m})
+			if r.tr.Enabled() {
+				r.tr.Emit(obs.Event{Type: obs.EvEscalate, Net: nr.Net.Name, Step: step + 1, Margin: m})
 			}
 		}
 		cfg := tig.Config{
 			MaxCorners:   r.cfg.MaxCorners,
 			RelaxedVisit: r.cfg.RelaxedVisit,
 			MaxPaths:     r.cfg.MaxPaths,
-			Tracer:       env.tr,
-			Budget:       env.budget,
+			Tracer:       r.tr,
+			Budget:       r.cfg.Budget,
 		}
 		if m >= 0 {
 			cfg.ColBounds = geom.Iv(colLo-m, colHi+m).Intersect(fullCols)
@@ -592,8 +583,8 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 	}
 	if !r.cfg.RelaxedVisit {
 		nr.Escalations++
-		if env.tr.Enabled() {
-			env.tr.Emit(obs.Event{
+		if r.tr.Enabled() {
+			r.tr.Emit(obs.Event{
 				Type: obs.EvEscalate, Net: nr.Net.Name,
 				Step: len(r.cfg.expansions()) + 1, Margin: -1, Relaxed: true,
 			})
@@ -603,8 +594,8 @@ func (r *Router) connect(env *routeEnv, nr *NetRoute, from, to tig.Point, res *R
 			RelaxedVisit: true,
 			MaxCorners:   geom.Max(2*tig.DefaultMaxCorners, r.cfg.MaxCorners),
 			MaxPaths:     r.cfg.MaxPaths,
-			Tracer:       env.tr,
-			Budget:       env.budget,
+			Tracer:       r.tr,
+			Budget:       r.cfg.Budget,
 		}
 		p, ok, err := attempt(relaxed)
 		if err != nil {
