@@ -344,6 +344,22 @@ func TestSSELiveHeartbeatAndEnd(t *testing.T) {
 	}
 }
 
+// goneClient is a ResponseWriter whose client has disconnected: every
+// body write fails. It records the status codes a handler sends.
+type goneClient struct {
+	header http.Header
+	codes  []int
+}
+
+func (w *goneClient) Header() http.Header  { return w.header }
+func (w *goneClient) WriteHeader(code int) { w.codes = append(w.codes, code) }
+func (w *goneClient) Write([]byte) (int, error) {
+	if len(w.codes) == 0 {
+		w.codes = append(w.codes, http.StatusOK) // the implicit status of a first write
+	}
+	return 0, io.ErrClosedPipe
+}
+
 func TestCongestionEndpoints(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -385,6 +401,14 @@ func TestCongestionEndpoints(t *testing.T) {
 	code, body = getBody(t, ts.URL+"/runs/"+st.ID+"/congestion.svg")
 	if code != 200 || !strings.Contains(body, "<svg") || !strings.Contains(body, "<animate") {
 		t.Fatalf("congestion.svg = %d %.200s", code, body)
+	}
+	// A client that stops reading mid-SVG gets no second status line.
+	for _, path := range []string{"/congestion.svg", "/heatmap.svg"} {
+		w := &goneClient{header: http.Header{}}
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/runs/"+st.ID+path, nil))
+		if len(w.codes) != 1 || w.codes[0] != http.StatusOK {
+			t.Errorf("%s to a gone client sent statuses %v, want [200]", path, w.codes)
+		}
 	}
 
 	_, body = getBody(t, ts.URL+"/metrics")
