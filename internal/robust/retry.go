@@ -2,10 +2,7 @@ package robust
 
 import "time"
 
-// Policy is ignored: a routing run executes once per process life. The
-// router is deterministic, so a run that fails once fails the same way
-// every time; only a process death is transient, and the service
-// recovers from that by requeueing the run from its journal.
+// Policy is ignored: ocserved routes a run once per process life.
 //
 // Deprecated: Policy exists only so that the benchmark under bench/,
 // which must also build against older checkouts, keeps compiling.

@@ -105,10 +105,8 @@ type Config struct {
 	// durability, never availability: the run proceeds and the failure
 	// is counted in ocroute_journal_write_errors_total.
 	Journal *journal.Journal
-	// Retry is ignored: a run executes once per process life, because
-	// a deterministic run that fails once fails the same way every
-	// time. Requeue from the journal after a process death is the only
-	// re-execution.
+	// Retry is ignored: a run routes once per process life (see
+	// execute).
 	//
 	// Deprecated: Retry exists only so that the benchmark under bench/,
 	// which must also build against older checkouts, keeps compiling.
@@ -774,8 +772,7 @@ type RunStatus struct {
 	// recovery.
 	InstanceHash string `json:"instance_hash,omitempty"`
 	ResultHash   string `json:"result_hash,omitempty"`
-	// Attempts counts routing executions: 1 for a run of this process,
-	// one per process life for a finished run replayed from the journal;
+	// Attempts counts routing executions, one per process life;
 	// Recovered marks a run reconstructed or requeued from the journal
 	// after a restart.
 	Attempts  int  `json:"attempts,omitempty"`
