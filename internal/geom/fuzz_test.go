@@ -53,5 +53,40 @@ func FuzzIntervalSet(f *testing.F) {
 				t.Fatalf("not normalised: %s", s.String())
 			}
 		}
+		// ClearSpanAround at every x, one step past each end included,
+		// under the whole model range and a window the input picks.
+		window := Iv(n/4, 3*n/4)
+		if len(ops) >= 2 {
+			lo := int(ops[len(ops)-2]) % n
+			window = Iv(lo, Min(n-1, lo+int(ops[len(ops)-1])%n))
+		}
+		for _, bounds := range []Interval{Iv(0, n-1), window} {
+			for x := -1; x <= n; x++ {
+				got, ok := s.ClearSpanAround(x, bounds)
+				want, wantOK := denseClearSpan(ref[:], x, bounds)
+				if ok != wantOK || got != want {
+					t.Fatalf("ClearSpanAround(%d, %v) = %v,%v, model %v,%v (%s)",
+						x, bounds, got, ok, want, wantOK, s.String())
+				}
+			}
+		}
 	})
+}
+
+// denseClearSpan is ClearSpanAround on the boolean model: the run of
+// clear integers around x, walked outward one at a time and stopped at
+// the bounds.
+func denseClearSpan(ref []bool, x int, bounds Interval) (Interval, bool) {
+	in := func(y int) bool { return y >= 0 && y < len(ref) && ref[y] }
+	if !bounds.Contains(x) || in(x) {
+		return Interval{}, false
+	}
+	lo, hi := x, x
+	for lo > bounds.Lo && !in(lo-1) {
+		lo--
+	}
+	for hi < bounds.Hi && !in(hi+1) {
+		hi++
+	}
+	return Interval{lo, hi}, true
 }

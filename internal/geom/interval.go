@@ -214,13 +214,17 @@ func (s *IntervalSet) OverlapCount(iv Interval) int {
 // when x itself is in the set (no clear span exists around it) or x is
 // outside bounds.
 func (s *IntervalSet) ClearSpanAround(x int, bounds Interval) (Interval, bool) {
-	if !bounds.Contains(x) || s.Contains(x) {
+	if !bounds.Contains(x) {
+		return Interval{}, false
+	}
+	// s.ivs[i] is the first interval ending at or after x: x is in the
+	// set exactly when it starts at or before x, and otherwise either
+	// i == len or s.ivs[i].Lo > x.
+	i := s.search(x)
+	if i < len(s.ivs) && s.ivs[i].Lo <= x {
 		return Interval{}, false
 	}
 	lo, hi := bounds.Lo, bounds.Hi
-	i := s.search(x)
-	// s.ivs[i] is the first interval ending at or after x; since x is
-	// not contained, either i == len or s.ivs[i].Lo > x.
 	if i < len(s.ivs) && s.ivs[i].Lo <= bounds.Hi {
 		hi = Min(hi, s.ivs[i].Lo-1)
 	}
