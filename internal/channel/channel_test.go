@@ -50,6 +50,40 @@ func TestDensity(t *testing.T) {
 	}
 }
 
+// scanDensity is the width × nets definition of Density: at each
+// column, count the nets whose span covers it.
+func scanDensity(p *Problem) int {
+	spans := p.spans()
+	best := 0
+	for c := 0; c < p.Width(); c++ {
+		d := 0
+		for _, sp := range spans {
+			if sp[0] <= c && c <= sp[1] {
+				d++
+			}
+		}
+		best = max(best, d)
+	}
+	return best
+}
+
+// TestDensityMatchesScan checks the sweep against scanDensity on
+// random edges, single-pin nets and empty columns included.
+func TestDensityMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		width, nets := 1+rng.Intn(40), 1+rng.Intn(12)
+		p := &Problem{Top: make([]int, width), Bottom: make([]int, width)}
+		for c := 0; c < width; c++ {
+			p.Top[c] = rng.Intn(nets + 1)
+			p.Bottom[c] = rng.Intn(nets + 1)
+		}
+		if got, want := p.Density(), scanDensity(p); got != want {
+			t.Fatalf("trial %d: Density = %d, scan %d\ntop=%v\nbot=%v", trial, got, want, p.Top, p.Bottom)
+		}
+	}
+}
+
 func TestLeftEdgeSimple(t *testing.T) {
 	p := &Problem{
 		Top:    []int{1, 2, 0, 1},

@@ -115,20 +115,19 @@ func (p *Problem) spans() map[int][2]int {
 
 // Density returns the maximum column density: the largest number of
 // nets whose pin spans cross any single column boundary. It is the
-// classic lower bound on the number of tracks.
+// classic lower bound on the number of tracks. One sweep computes it:
+// each span adds one at its first column and removes it past its last,
+// and the running sum is the density of each column.
 func (p *Problem) Density() int {
-	spans := p.spans()
-	best := 0
-	for c := 0; c < p.Width(); c++ {
-		d := 0
-		for _, sp := range spans {
-			if sp[0] <= c && c <= sp[1] {
-				d++
-			}
-		}
-		if d > best {
-			best = d
-		}
+	delta := make([]int, p.Width()+1)
+	for _, sp := range p.spans() {
+		delta[sp[0]]++
+		delta[sp[1]+1]--
+	}
+	best, d := 0, 0
+	for _, step := range delta {
+		d += step
+		best = max(best, d)
 	}
 	return best
 }
