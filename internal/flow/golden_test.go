@@ -86,7 +86,7 @@ func TestGoldenProposedAmi33(t *testing.T) {
 	got := goldenRun(t, func(o Options) (*Result, error) { return Proposed(inst, o) })
 	checkGolden(t, got, golden{
 		hash:       "d270f562a0e48f23a8c953ec29de2f55f614f840941d0bf03ab8b6945c421b71",
-		trace:      "96a478f21b5e2c2941860382a137c0e87272ac189a7e67df8a6b354cbaba5b4b",
+		trace:      "da4050154161c5e6417b67ee1822622a4b90acef3e4a472bc21c445e81d78871",
 		congestion: "46998375a1ba07e73934b8d6cddf54f05a6a280e6d4deeba254ea26575f511c5",
 	})
 }
@@ -99,7 +99,7 @@ func TestGoldenChannelFreeEx3(t *testing.T) {
 	got := goldenRun(t, func(o Options) (*Result, error) { return ChannelFree(inst, o) })
 	checkGolden(t, got, golden{
 		hash:       "0196ebf3dab16664d7d951806603246874166587e399d2a7b928cc1d9fae992d",
-		trace:      "eecebb7a74d37383c7923132e6d2be85753f12d3190a934c6562caf0ee70f0cc",
+		trace:      "2e70dd2fda0d0b86f84e581fbf813df794e30a0686302ffd09bb46b98e0918f4",
 		congestion: "53e6fd7be76b1e01bda38ad54b16e6970206b2c3551ac2e75c7f62cf460f27d3",
 	})
 }
@@ -152,7 +152,7 @@ func TestGoldenDenseRipup(t *testing.T) {
 	})
 	checkGolden(t, got, golden{
 		hash:       "dd42b4ffc4b16331237076d8f0b8df15be9f845c7b463cf64f0534167f31a507",
-		trace:      "60e2fbab79166addeb96e5f236043a488aed1572c262a1d02f4a4ef96a1bb165",
+		trace:      "c60f54f1d9bfaf706dc493b9cc682e6a3f8cb4c35d8eecbd872f68e95338b4f0",
 		congestion: "75d66ef74ef5676736fa3fc173a092d687326fda018ef4213a2f24be5c99ee90",
 	})
 }

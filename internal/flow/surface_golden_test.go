@@ -46,10 +46,10 @@ func TestGoldenStatsAmi33(t *testing.T) {
 	if err := reg.WriteText(&exp); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sha([]byte(stats.Summary())), "c2c783d14f7ab90ee0b41f348c70b0731d91070dcce32433108e5f2cf3a7268e"; got != want {
+	if got, want := sha([]byte(stats.Summary())), "d983df6f8758d7e104784e5b46049b24528b283de2b0e4dd943f166a7a991978"; got != want {
 		t.Errorf("-stats summary sha256 = %s, want %s\n%s", got, want, stats.Summary())
 	}
-	if got, want := sha(exp.Bytes()), "fff0897fc5d74dc90ccb0b9392cc25135fc84f5c9a6093508f92ad427eae249d"; got != want {
+	if got, want := sha(exp.Bytes()), "89e2c26182630252f93e2929264256bc44e30a6d92dceed061cc158d7b373951"; got != want {
 		t.Errorf("ocroute_* exposition sha256 = %s, want %s", got, want)
 	}
 }

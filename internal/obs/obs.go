@@ -42,7 +42,9 @@ const (
 	// EvMBFS reports one modified-BFS search over the Track
 	// Intersection Graph: Levels is the corner depth reached, Expanded
 	// the path-selection-tree size (nodes created), Pruned the
-	// examine-once rejections, Paths the minimum-corner paths found.
+	// candidate tracks the examine-once rule refused (at usable and at
+	// blocked intersections alike, since the rule runs before the
+	// usability probe), Paths the minimum-corner paths found.
 	EvMBFS EventType = "mbfs"
 	// EvSelect reports the cost-based path selection over one MBFS
 	// result: Paths candidates, Pruned abandoned by the bounding
