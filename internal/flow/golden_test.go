@@ -156,3 +156,39 @@ func TestGoldenDenseRipup(t *testing.T) {
 		congestion: "75d66ef74ef5676736fa3fc173a092d687326fda018ef4213a2f24be5c99ee90",
 	})
 }
+
+// The baseline goldens pin the two-layer channel flow, which makes
+// every greedy channel call on the Table 1 instances and most of the
+// dogleg calls. It has no level B, so the congestion series is empty.
+func TestGoldenBaseline(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  func() (*gen.Instance, error)
+		want golden
+	}{
+		{"ami33", gen.Ami33Like, golden{
+			hash:       "9ff145a2b103f19689f71885ba8fa0280a624b7cdff1e208c361263d7f2011cc",
+			trace:      "0ba7b2b6cb28308ad89397af0127c3cbe2828b04b23b6fe633c6defea75753f1",
+			congestion: "71681447e119115f86b8653a523f80caed330ee5f716db2fb614fc86370c1eb3",
+		}},
+		{"xerox", gen.XeroxLike, golden{
+			hash:       "be3678961366af0fe3d764673fae6c9389ab4d9fcbea1650a282eac0bb7230a1",
+			trace:      "0ba7b2b6cb28308ad89397af0127c3cbe2828b04b23b6fe633c6defea75753f1",
+			congestion: "71681447e119115f86b8653a523f80caed330ee5f716db2fb614fc86370c1eb3",
+		}},
+		{"ex3", gen.Ex3Like, golden{
+			hash:       "7d25b0addc0b643c88b32ca10caa4004f4e17e7377922d8ffc259965ff051058",
+			trace:      "0ba7b2b6cb28308ad89397af0127c3cbe2828b04b23b6fe633c6defea75753f1",
+			congestion: "71681447e119115f86b8653a523f80caed330ee5f716db2fb614fc86370c1eb3",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			inst, err := c.gen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenRun(t, func(o Options) (*Result, error) { return TwoLayerBaseline(inst, o) })
+			checkGolden(t, got, c.want)
+		})
+	}
+}
