@@ -4,8 +4,8 @@ import "testing"
 
 // FuzzGreedy decodes a channel problem from raw bytes and checks that
 // the greedy router either refuses it (invalid input) or produces a
-// solution the geometric/electrical oracle accepts. Run deep fuzzing
-// with:
+// solution the geometric/electrical oracle accepts, and that every
+// router matches its reference implementation. Run deep fuzzing with:
 //
 //	go test -fuzz=FuzzGreedy ./internal/channel
 func FuzzGreedy(f *testing.F) {
@@ -34,12 +34,14 @@ func FuzzGreedy(f *testing.F) {
 		if err := s.Validate(p); err != nil {
 			t.Fatalf("invalid solution: %v\ntop=%v\nbot=%v", err, p.Top, p.Bottom)
 		}
+		MatchReference(t, p)
 	})
 }
 
 // FuzzDoglegAndNetMerge checks the constraint-respecting routers: any
 // produced solution must pass the oracle; refusals (cyclic
-// constraints) are legitimate.
+// constraints) are legitimate. Every router must also match its
+// reference implementation.
 func FuzzDoglegAndNetMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 1})
 	f.Add([]byte{1, 1, 0, 2, 2, 0})
@@ -66,5 +68,6 @@ func FuzzDoglegAndNetMerge(f *testing.F) {
 				t.Fatalf("net-merge invalid: %v\ntop=%v\nbot=%v", verr, p.Top, p.Bottom)
 			}
 		}
+		MatchReference(t, p)
 	})
 }
