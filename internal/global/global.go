@@ -10,6 +10,7 @@ package global
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"overcell/internal/floorplan"
@@ -173,45 +174,65 @@ func placePin(p *channel.Problem, side, col, net, ncols int) error {
 }
 
 // feedthroughs tracks the column slots available for vertical wires
-// crossing each cell row (the gaps between and beside the cells).
+// crossing each cell row: the pitch-aligned positions in the gaps
+// between and beside the cells.
 type feedthroughs struct {
-	pitch int
-	rows  [][]geom.Interval // free x-intervals per row, shrinking as slots are taken
-	used  []map[int]bool    // x positions taken per row
+	slots [][]int  // slot x positions per row, ascending
+	used  [][]bool // parallel to slots: taken
 }
 
 func newFeedthroughs(l *floorplan.Layout, pitch int) *feedthroughs {
-	ft := &feedthroughs{pitch: pitch}
+	gaps := make([][]geom.Interval, len(l.Rows))
+	n := 0
 	for i := range l.Rows {
-		ft.rows = append(ft.rows, l.Gaps(i))
-		ft.used = append(ft.used, map[int]bool{})
+		gaps[i] = l.Gaps(i)
+		for _, gap := range gaps[i] {
+			if lo := alignUp(gap.Lo, pitch); lo <= gap.Hi {
+				n += (gap.Hi-lo)/pitch + 1
+			}
+		}
+	}
+	// Every row's slots share one array, as do their used flags.
+	xs := make([]int, 0, n)
+	used := make([]bool, n)
+	ft := &feedthroughs{slots: make([][]int, len(l.Rows)), used: make([][]bool, len(l.Rows))}
+	for i, row := range gaps {
+		first := len(xs)
+		for _, gap := range row {
+			for x := alignUp(gap.Lo, pitch); x <= gap.Hi; x += pitch {
+				xs = append(xs, x)
+			}
+		}
+		ft.slots[i] = xs[first:len(xs):len(xs)]
+		ft.used[i] = used[first:len(xs):len(xs)]
 	}
 	return ft
 }
 
-// take reserves the feedthrough slot in row r closest to the desired x
-// and returns its position.
+func alignUp(x, pitch int) int { return (x + pitch - 1) / pitch * pitch }
+
+// take reserves the free feedthrough slot in row r closest to the
+// desired x, the left one of two equally close, and returns its
+// position.
 func (ft *feedthroughs) take(r, want int) (int, bool) {
-	best, bestD := 0, -1
-	for _, gap := range ft.rows[r] {
-		// Candidate slots are pitch-aligned positions inside the gap.
-		lo := (gap.Lo + ft.pitch - 1) / ft.pitch * ft.pitch
-		for x := lo; x <= gap.Hi; x += ft.pitch {
-			if ft.used[r][x] {
-				continue
-			}
-			d := x - want
-			if d < 0 {
-				d = -d
-			}
-			if bestD < 0 || d < bestD {
-				best, bestD = x, d
-			}
-		}
+	xs, used := ft.slots[r], ft.used[r]
+	right, _ := slices.BinarySearch(xs, want)
+	left := right - 1
+	for right < len(xs) && used[right] {
+		right++
 	}
-	if bestD < 0 {
+	for left >= 0 && used[left] {
+		left--
+	}
+	var best int
+	switch {
+	case left >= 0 && (right == len(xs) || want-xs[left] <= xs[right]-want):
+		best = left
+	case right < len(xs):
+		best = right
+	default:
 		return 0, false
 	}
-	ft.used[r][best] = true
-	return best, true
+	used[best] = true
+	return xs[best], true
 }
