@@ -49,17 +49,22 @@ func (s *Solution) WireLength(colPitch, trackPitch int) int {
 		total += (h.Hi - h.Lo) * colPitch
 	}
 	for _, v := range s.Verticals {
-		top, bottom := v.FromTrack+1, v.ToTrack+1
-		y0, y1 := top*trackPitch, bottom*trackPitch
-		if v.TouchTop {
-			y0 = 0
-		}
-		if v.TouchBottom {
-			y1 = (s.Tracks + 1) * trackPitch
-		}
-		total += y1 - y0
+		total += v.Length(s.Tracks, trackPitch)
 	}
 	return total
+}
+
+// Length returns the vertical's wire length in track pitches times
+// trackPitch, in a channel of the given number of tracks.
+func (v Vertical) Length(tracks, trackPitch int) int {
+	y0, y1 := (v.FromTrack+1)*trackPitch, (v.ToTrack+1)*trackPitch
+	if v.TouchTop {
+		y0 = 0
+	}
+	if v.TouchBottom {
+		y1 = (tracks + 1) * trackPitch
+	}
+	return y1 - y0
 }
 
 // ViaCount returns the number of routing vias: one per tap (a
@@ -292,34 +297,4 @@ func (s *Solution) checkConnectivity(p *Problem) error {
 		}
 	}
 	return nil
-}
-
-// NetWireLengths returns the per-net wire length of the solution, in
-// the same units as WireLength.
-func (s *Solution) NetWireLengths(colPitch, trackPitch int) map[int]int {
-	out := map[int]int{}
-	for _, h := range s.Horizontals {
-		out[h.Net] += (h.Hi - h.Lo) * colPitch
-	}
-	for _, v := range s.Verticals {
-		top, bottom := v.FromTrack+1, v.ToTrack+1
-		y0, y1 := top*trackPitch, bottom*trackPitch
-		if v.TouchTop {
-			y0 = 0
-		}
-		if v.TouchBottom {
-			y1 = (s.Tracks + 1) * trackPitch
-		}
-		out[v.Net] += y1 - y0
-	}
-	return out
-}
-
-// NetViaCounts returns the per-net routing via (tap) count.
-func (s *Solution) NetViaCounts() map[int]int {
-	out := map[int]int{}
-	for _, v := range s.Verticals {
-		out[v.Net] += len(v.Taps)
-	}
-	return out
 }

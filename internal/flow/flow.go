@@ -260,8 +260,9 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 	}
 	res := &levelAResult{heights: make([]int, l.NumChannels())}
 	pitch := l.Tech.M12Pitch
-	netWL := map[int]int{}
-	netVias := map[int]int{}
+	// Per-net wire length and vias, indexed by channel net number.
+	netWL := make([]int, len(gnets)+1)
+	netVias := make([]int, len(gnets)+1)
 	for i, prob := range asg.Problems {
 		// The channel routers are not expansion-metered; deadline and
 		// cancellation are polled between channels instead.
@@ -283,11 +284,12 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 		res.tracks = append(res.tracks, sol.Tracks)
 		res.wireLength += sol.WireLength(asg.ColPitch, pitch)
 		res.vias += sol.ViaCount()
-		for net, wl := range sol.NetWireLengths(asg.ColPitch, pitch) {
-			netWL[net] += wl
+		for _, h := range sol.Horizontals {
+			netWL[h.Net] += (h.Hi - h.Lo) * asg.ColPitch
 		}
-		for net, v := range sol.NetViaCounts() {
-			netVias[net] += v
+		for _, v := range sol.Verticals {
+			netWL[v.Net] += v.Length(sol.Tracks, pitch)
+			netVias[v.Net] += len(v.Taps)
 		}
 	}
 	res.wireLength += asg.FeedthroughLen
