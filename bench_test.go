@@ -19,6 +19,7 @@ import (
 	"overcell/internal/flow"
 	"overcell/internal/gen"
 	"overcell/internal/geom"
+	"overcell/internal/global"
 	"overcell/internal/grid"
 	"overcell/internal/maze"
 	"overcell/internal/metrics"
@@ -424,8 +425,9 @@ func BenchmarkAblationPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkChannelRouters compares the three channel routing
-// algorithms on the baseline flow's channel problems.
+// BenchmarkChannelRouters routes the ami33 baseline flow with each of
+// two channel configurations: auto (dogleg, falling back to greedy
+// where dogleg refuses) and greedy alone.
 func BenchmarkChannelRouters(b *testing.B) {
 	for _, a := range []struct {
 		name string
@@ -517,10 +519,13 @@ func BenchmarkAblationRipup(b *testing.B) {
 }
 
 // BenchmarkChannelAlgorithms compares the four detailed channel
-// routers head to head on a family of random channel problems
-// (left-edge and friends skip instances with cyclic constraints).
+// routers head to head on two families: 20 random 30-column channels,
+// and the channels global.Assign builds for the two-layer baseline on
+// the three Table 1 instances (420-660 columns, 70-190 nets), where
+// the baseline flow makes its channel calls. Left-edge and friends
+// skip instances with cyclic constraints.
 func BenchmarkChannelAlgorithms(b *testing.B) {
-	problems := func() []*channel.Problem {
+	random := func() []*channel.Problem {
 		rng := rand.New(rand.NewSource(77))
 		var out []*channel.Problem
 		for len(out) < 20 {
@@ -531,6 +536,22 @@ func BenchmarkChannelAlgorithms(b *testing.B) {
 		}
 		return out
 	}()
+	var baseline []*channel.Problem
+	for _, m := range instances {
+		inst, err := m.mk()
+		if err != nil {
+			b.Fatal(err)
+		}
+		l := inst.Layout
+		if err := l.Place(make([]int, l.NumChannels())); err != nil {
+			b.Fatal(err)
+		}
+		asg, err := global.Assign(l, inst.GlobalNets(nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		baseline = append(baseline, asg.Problems...)
+	}
 	algos := []struct {
 		name string
 		run  func(*channel.Problem) (*channel.Solution, error)
@@ -540,26 +561,31 @@ func BenchmarkChannelAlgorithms(b *testing.B) {
 		{"net-merge", channel.NetMerge},
 		{"greedy", channel.Greedy},
 	}
-	for _, a := range algos {
-		b.Run(a.name, func(b *testing.B) {
-			tracks, solved := 0, 0
-			for i := 0; i < b.N; i++ {
-				tracks, solved = 0, 0
-				for _, p := range problems {
-					s, err := a.run(p)
-					if err != nil {
-						continue
+	for _, f := range []struct {
+		name     string
+		problems []*channel.Problem
+	}{{"random", random}, {"baseline", baseline}} {
+		for _, a := range algos {
+			b.Run(f.name+"/"+a.name, func(b *testing.B) {
+				tracks, solved := 0, 0
+				for i := 0; i < b.N; i++ {
+					tracks, solved = 0, 0
+					for _, p := range f.problems {
+						s, err := a.run(p)
+						if err != nil {
+							continue
+						}
+						tracks += s.Tracks
+						solved++
 					}
-					tracks += s.Tracks
-					solved++
 				}
-			}
-			if solved == 0 {
-				b.Fatal("algorithm solved nothing")
-			}
-			b.ReportMetric(float64(tracks)/float64(solved), "tracks/channel")
-			b.ReportMetric(float64(solved), "solved-of-20")
-		})
+				if solved == 0 {
+					b.Fatal("algorithm solved nothing")
+				}
+				b.ReportMetric(float64(tracks)/float64(solved), "tracks/channel")
+				b.ReportMetric(float64(solved), fmt.Sprintf("solved-of-%d", len(f.problems)))
+			})
+		}
 	}
 }
 
