@@ -26,14 +26,14 @@ func TestPathLengthIncremental(t *testing.T) {
 	}
 	// With own metal covering part of the horizontal run, only the new
 	// metal is charged.
-	sh := newShape()
+	sh := &shape{}
 	sh.addH(0, geom.Iv(0, 6))
 	e.own = sh
 	if got := e.pathLength(p); got != 150-60 {
 		t.Errorf("incremental pathLength = %d, want 90", got)
 	}
 	// Fragmented own coverage charges exactly the gaps.
-	sh2 := newShape()
+	sh2 := &shape{}
 	sh2.addH(0, geom.Iv(0, 2))
 	sh2.addH(0, geom.Iv(5, 7))
 	e.own = sh2
@@ -117,5 +117,34 @@ func TestCornerCostNormalisation(t *testing.T) {
 	withWire := e.cornerCost(tig.Point{Col: 10, Row: 8})
 	if withWire <= 0 {
 		t.Error("corner near wire should cost more than empty corner")
+	}
+}
+
+// TestSelectBestAllocs holds path selection to zero allocations per
+// call when the net's own shape overlaps the candidates, as it does
+// from a multi-terminal net's second connection on: pathLength reads
+// the own metal under every candidate segment in place.
+func TestSelectBestAllocs(t *testing.T) {
+	g := evalGrid(t)
+	g.CommitHWire(7, geom.Iv(2, 17))
+	g.CommitVWire(15, geom.Iv(0, 6))
+	own := &shape{}
+	noTerms := func(tig.Point) bool { return false }
+	own.addPath(tig.Path{Points: []tig.Point{{Col: 0, Row: 3}, {Col: 12, Row: 3}, {Col: 12, Row: 10}}}, noTerms)
+	own.addPath(tig.Path{Points: []tig.Point{{Col: 4, Row: 3}, {Col: 4, Row: 12}, {Col: 9, Row: 12}}}, noTerms)
+	from, to := tig.Point{Col: 2, Row: 3}, tig.Point{Col: 18, Row: 12}
+	paths := []tig.Path{
+		{Points: []tig.Point{from, {Col: 18, Row: 3}, to}},
+		{Points: []tig.Point{from, {Col: 2, Row: 12}, to}},
+		{Points: []tig.Point{from, {Col: 12, Row: 3}, {Col: 12, Row: 12}, to}},
+		{Points: []tig.Point{from, {Col: 4, Row: 3}, {Col: 4, Row: 12}, to}},
+		{Points: []tig.Point{from, {Col: 2, Row: 10}, {Col: 18, Row: 10}, to}},
+	}
+	w := SparseWeights()
+	w.Coupling = 1
+	e := newCostEvaluator(g, w)
+	e.own = own
+	if got := testing.AllocsPerRun(100, func() { e.selectBest(paths) }); got != 0 {
+		t.Errorf("selectBest makes %.0f allocations per call, want 0", got)
 	}
 }

@@ -383,7 +383,7 @@ func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank
 	for _, p := range terms {
 		r.g.ClearTerminal(p.Col, p.Row)
 	}
-	sh := newShape()
+	sh := &shape{}
 	r.eval.own = sh
 	defer func() {
 		r.eval.own = nil

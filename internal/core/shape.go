@@ -1,47 +1,94 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
 	"overcell/internal/tig"
 )
 
+// span is one maximal wire interval of a shape: columns lo..hi of row
+// track on LayerH, or rows lo..hi of column track on LayerV.
+type span struct {
+	track, lo, hi int
+}
+
 // shape is the accumulated metal of one net in track index space:
 // horizontal wire spans per row, vertical spans per column, and via
-// points. Interval sets keep overlapping re-routes of the same net
-// deduplicated, so wire length accounting is exact.
+// points. Each layer is one slice of spans sorted by track, then lo.
+// addSpan merges by IntervalSet.Add's touch-or-overlap rule, so the
+// spans of one track are disjoint and non-adjacent: overlapping
+// re-routes of the same net are deduplicated, and wire length
+// accounting is exact. Vias are one slice sorted by (Col, Row). Every
+// method walks the slices in that order, so commit order, cost
+// decisions and reported geometry are the same on every run, and none
+// sorts or copies.
 type shape struct {
-	h    map[int]*geom.IntervalSet // row -> column spans on LayerH
-	v    map[int]*geom.IntervalSet // col -> row spans on LayerV
-	vias map[tig.Point]bool
+	h    []span      // LayerH: track is the row, lo..hi columns
+	v    []span      // LayerV: track is the column, lo..hi rows
+	vias []tig.Point // sorted by comparePoints, distinct
 }
 
-func newShape() *shape {
-	return &shape{
-		h:    make(map[int]*geom.IntervalSet),
-		v:    make(map[int]*geom.IntervalSet),
-		vias: make(map[tig.Point]bool),
+// searchSpans returns the index of the first span that lies on a
+// track after track, or on track and ends at or after x. The spans of
+// one track are disjoint and sorted by lo, so their ends ascend too
+// and the search is a plain bisection.
+func searchSpans(spans []span, track, x int) int {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		if s := spans[m]; s.track > track || s.track == track && s.hi >= x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
+	return lo
 }
 
-func (s *shape) addH(row int, iv geom.Interval) {
-	set := s.h[row]
-	if set == nil {
-		set = &geom.IntervalSet{}
-		s.h[row] = set
+// addSpan inserts iv on track, merging it with every span of that
+// track it overlaps or touches: [1,2] and [3,4] merge to [1,4]. An
+// empty iv is ignored.
+func addSpan(spans []span, track int, iv geom.Interval) []span {
+	if iv.Empty() {
+		return spans
 	}
-	set.Add(iv)
+	first := searchSpans(spans, track, iv.Lo-1)
+	last := first
+	lo, hi := iv.Lo, iv.Hi
+	for last < len(spans) && spans[last].track == track && spans[last].lo <= iv.Hi+1 {
+		lo = geom.Min(lo, spans[last].lo)
+		hi = geom.Max(hi, spans[last].hi)
+		last++
+	}
+	if first == last {
+		return slices.Insert(spans, first, span{track, lo, hi})
+	}
+	spans[first] = span{track, lo, hi}
+	return slices.Delete(spans, first+1, last)
 }
 
-func (s *shape) addV(col int, iv geom.Interval) {
-	set := s.v[col]
-	if set == nil {
-		set = &geom.IntervalSet{}
-		s.v[col] = set
+// spanContains reports whether x lies in a span of track.
+func spanContains(spans []span, track, x int) bool {
+	i := searchSpans(spans, track, x)
+	return i < len(spans) && spans[i].track == track && spans[i].lo <= x
+}
+
+func (s *shape) addH(row int, iv geom.Interval) { s.h = addSpan(s.h, row, iv) }
+
+func (s *shape) addV(col int, iv geom.Interval) { s.v = addSpan(s.v, col, iv) }
+
+func (s *shape) hasVia(p tig.Point) bool {
+	_, ok := slices.BinarySearchFunc(s.vias, p, comparePoints)
+	return ok
+}
+
+func (s *shape) addVia(p tig.Point) {
+	if i, ok := slices.BinarySearchFunc(s.vias, p, comparePoints); !ok {
+		s.vias = slices.Insert(s.vias, i, p)
 	}
-	set.Add(iv)
 }
 
 // addPath folds a search result path into the shape. Corners become
@@ -61,9 +108,9 @@ func (s *shape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 	}
 	// Endpoint junction decisions must look at the shape as it was
 	// before this path's segments are merged in.
-	for _, endIdx := range []int{0, len(pts) - 1} {
+	for _, endIdx := range [2]int{0, len(pts) - 1} {
 		e := pts[endIdx]
-		if isTerminal(e) || s.vias[e] {
+		if isTerminal(e) || s.hasVia(e) {
 			continue
 		}
 		adj := pts[1]
@@ -71,10 +118,10 @@ func (s *shape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 			adj = pts[len(pts)-2]
 		}
 		arrivesH := adj.Row == e.Row
-		onH := s.h[e.Row] != nil && s.h[e.Row].Contains(e.Col)
-		onV := s.v[e.Col] != nil && s.v[e.Col].Contains(e.Row)
+		onH := spanContains(s.h, e.Row, e.Col)
+		onV := spanContains(s.v, e.Col, e.Row)
 		if arrivesH && !onH && onV || !arrivesH && !onV && onH {
-			s.vias[e] = true
+			s.addVia(e)
 		}
 	}
 	for i := 1; i < len(pts); i++ {
@@ -86,48 +133,19 @@ func (s *shape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 		}
 	}
 	for _, c := range p.AppendCorners(make([]tig.Point, 0, len(pts)-2)) {
-		s.vias[c] = true
+		s.addVia(c)
 	}
-}
-
-// sortedTracks returns the map's track keys in ascending order. Every
-// iteration over s.h / s.v goes through it (or through an equivalent
-// sorted collection) so that commit order, cost decisions, and reported
-// geometry never depend on Go's randomized map iteration order — the
-// level B results must be byte-identical run to run.
-func sortedTracks(m map[int]*geom.IntervalSet) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// sortedVias returns the via points in ascending (Col, Row) order, for
-// the same determinism reasons as sortedTracks.
-func (s *shape) sortedVias() []tig.Point {
-	out := make([]tig.Point, 0, len(s.vias))
-	for p := range s.vias {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessPoint(out[i], out[j]) })
-	return out
 }
 
 // commit writes the whole shape into the grid occupancy.
 func (s *shape) commit(g *grid.Grid) {
-	for _, row := range sortedTracks(s.h) {
-		for _, iv := range s.h[row].Intervals() {
-			g.CommitHWire(row, iv)
-		}
+	for _, sp := range s.h {
+		g.CommitHWire(sp.track, geom.Iv(sp.lo, sp.hi))
 	}
-	for _, col := range sortedTracks(s.v) {
-		for _, iv := range s.v[col].Intervals() {
-			g.CommitVWire(col, iv)
-		}
+	for _, sp := range s.v {
+		g.CommitVWire(sp.track, geom.Iv(sp.lo, sp.hi))
 	}
-	for _, p := range s.sortedVias() {
+	for _, p := range s.vias {
 		g.CommitVia(p.Col, p.Row)
 	}
 }
@@ -135,17 +153,13 @@ func (s *shape) commit(g *grid.Grid) {
 // lift removes the whole shape from the grid occupancy, making the
 // net's own metal transparent while the net is extended or re-routed.
 func (s *shape) lift(g *grid.Grid) {
-	for _, row := range sortedTracks(s.h) {
-		for _, iv := range s.h[row].Intervals() {
-			g.LiftHWire(row, iv)
-		}
+	for _, sp := range s.h {
+		g.LiftHWire(sp.track, geom.Iv(sp.lo, sp.hi))
 	}
-	for _, col := range sortedTracks(s.v) {
-		for _, iv := range s.v[col].Intervals() {
-			g.LiftVWire(col, iv)
-		}
+	for _, sp := range s.v {
+		g.LiftVWire(sp.track, geom.Iv(sp.lo, sp.hi))
 	}
-	for _, p := range s.sortedVias() {
+	for _, p := range s.vias {
 		g.LiftVia(p.Col, p.Row)
 	}
 }
@@ -153,46 +167,35 @@ func (s *shape) lift(g *grid.Grid) {
 // wireLength returns the total metal length in layout units.
 func (s *shape) wireLength(g *grid.Grid) int {
 	total := 0
-	for _, row := range sortedTracks(s.h) {
-		for _, iv := range s.h[row].Intervals() {
-			total += g.SpanLengthX(iv.Lo, iv.Hi)
-		}
+	for _, sp := range s.h {
+		total += g.SpanLengthX(sp.lo, sp.hi)
 	}
-	for _, col := range sortedTracks(s.v) {
-		for _, iv := range s.v[col].Intervals() {
-			total += g.SpanLengthY(iv.Lo, iv.Hi)
-		}
+	for _, sp := range s.v {
+		total += g.SpanLengthY(sp.lo, sp.hi)
 	}
 	return total
 }
 
 // nearestPoint returns the shape point closest (rectilinear metric,
-// measured in track indices) to p, and that distance. ok is false for
-// an empty shape.
+// measured in track indices) to p, and that distance; ties go to the
+// least point in (Col, Row) order. ok is false for an empty shape.
 func (s *shape) nearestPoint(p tig.Point) (tig.Point, int, bool) {
 	best := tig.Point{}
 	bestD := -1
-	consider := func(q tig.Point, d int) {
-		if bestD < 0 || d < bestD || (d == bestD && lessPoint(q, best)) {
+	consider := func(q tig.Point) {
+		d := geom.Abs(p.Col-q.Col) + geom.Abs(p.Row-q.Row)
+		if bestD < 0 || d < bestD || (d == bestD && comparePoints(q, best) < 0) {
 			best, bestD = q, d
 		}
 	}
-	for _, row := range sortedTracks(s.h) {
-		for _, iv := range s.h[row].Intervals() {
-			col := geom.Clamp(p.Col, iv.Lo, iv.Hi)
-			q := tig.Point{Col: col, Row: row}
-			consider(q, geom.Abs(p.Col-col)+geom.Abs(p.Row-row))
-		}
+	for _, sp := range s.h {
+		consider(tig.Point{Col: geom.Clamp(p.Col, sp.lo, sp.hi), Row: sp.track})
 	}
-	for _, col := range sortedTracks(s.v) {
-		for _, iv := range s.v[col].Intervals() {
-			row := geom.Clamp(p.Row, iv.Lo, iv.Hi)
-			q := tig.Point{Col: col, Row: row}
-			consider(q, geom.Abs(p.Col-col)+geom.Abs(p.Row-row))
-		}
+	for _, sp := range s.v {
+		consider(tig.Point{Col: sp.track, Row: geom.Clamp(p.Row, sp.lo, sp.hi)})
 	}
-	for _, q := range s.sortedVias() {
-		consider(q, geom.Abs(p.Col-q.Col)+geom.Abs(p.Row-q.Row))
+	for _, q := range s.vias {
+		consider(q)
 	}
 	if bestD < 0 {
 		return tig.Point{}, 0, false
@@ -203,23 +206,17 @@ func (s *shape) nearestPoint(p tig.Point) (tig.Point, int, bool) {
 // intersects reports whether any of the shape's metal lies inside the
 // index-space window.
 func (s *shape) intersects(cols, rows geom.Interval) bool {
-	for _, row := range sortedTracks(s.h) {
-		if !rows.Contains(row) {
-			continue
-		}
-		if s.h[row].Overlaps(cols) {
+	for _, sp := range s.h {
+		if rows.Contains(sp.track) && geom.Iv(sp.lo, sp.hi).Overlaps(cols) {
 			return true
 		}
 	}
-	for _, col := range sortedTracks(s.v) {
-		if !cols.Contains(col) {
-			continue
-		}
-		if s.v[col].Overlaps(rows) {
+	for _, sp := range s.v {
+		if cols.Contains(sp.track) && geom.Iv(sp.lo, sp.hi).Overlaps(rows) {
 			return true
 		}
 	}
-	for _, p := range s.sortedVias() {
+	for _, p := range s.vias {
 		if cols.Contains(p.Col) && rows.Contains(p.Row) {
 			return true
 		}
@@ -230,76 +227,61 @@ func (s *shape) intersects(cols, rows geom.Interval) bool {
 // containsPoint reports whether the grid point carries metal of this
 // shape on either layer.
 func (s *shape) containsPoint(p tig.Point) bool {
-	if s.vias[p] {
-		return true
-	}
-	if set := s.h[p.Row]; set != nil && set.Contains(p.Col) {
-		return true
-	}
-	if set := s.v[p.Col]; set != nil && set.Contains(p.Row) {
-		return true
-	}
-	return false
+	return s.hasVia(p) || spanContains(s.h, p.Row, p.Col) || spanContains(s.v, p.Col, p.Row)
 }
 
 // segments returns the shape's wire spans in a deterministic order,
 // for the public result type.
 func (s *shape) segments() []Segment {
-	var out []Segment
-	for _, row := range sortedTracks(s.h) {
-		for _, iv := range s.h[row].Intervals() {
-			out = append(out, Segment{Horizontal: true, Track: row, Lo: iv.Lo, Hi: iv.Hi})
-		}
+	if len(s.h)+len(s.v) == 0 {
+		return nil
 	}
-	for _, col := range sortedTracks(s.v) {
-		for _, iv := range s.v[col].Intervals() {
-			out = append(out, Segment{Horizontal: false, Track: col, Lo: iv.Lo, Hi: iv.Hi})
-		}
+	out := make([]Segment, 0, len(s.h)+len(s.v))
+	for _, sp := range s.h {
+		out = append(out, Segment{Horizontal: true, Track: sp.track, Lo: sp.lo, Hi: sp.hi})
+	}
+	for _, sp := range s.v {
+		out = append(out, Segment{Horizontal: false, Track: sp.track, Lo: sp.lo, Hi: sp.hi})
 	}
 	return out
 }
 
-// viaPoints returns the via points in a deterministic order.
+// viaPoints returns a copy of the via points in a deterministic order.
 func (s *shape) viaPoints() []tig.Point {
-	return s.sortedVias()
+	return append(make([]tig.Point, 0, len(s.vias)), s.vias...)
 }
 
-func lessPoint(a, b tig.Point) bool {
-	if a.Col != b.Col {
-		return a.Col < b.Col
+// comparePoints orders points by column, then row.
+func comparePoints(a, b tig.Point) int {
+	if c := cmp.Compare(a.Col, b.Col); c != 0 {
+		return c
 	}
-	return a.Row < b.Row
+	return cmp.Compare(a.Row, b.Row)
 }
 
 // overlapLengthH returns the layout-unit length of the intersection of
 // the column span on the given row with the shape's horizontal metal.
 func (s *shape) overlapLengthH(g *grid.Grid, row int, iv geom.Interval) int {
-	set := s.h[row]
-	if set == nil {
+	if iv.Empty() {
 		return 0
 	}
 	total := 0
-	for _, own := range set.Intervals() {
-		x := own.Intersect(iv)
-		if !x.Empty() {
-			total += g.SpanLengthX(x.Lo, x.Hi)
-		}
+	for i := searchSpans(s.h, row, iv.Lo); i < len(s.h) && s.h[i].track == row && s.h[i].lo <= iv.Hi; i++ {
+		x := geom.Iv(s.h[i].lo, s.h[i].hi).Intersect(iv)
+		total += g.SpanLengthX(x.Lo, x.Hi)
 	}
 	return total
 }
 
 // overlapLengthV is the vertical analogue of overlapLengthH.
 func (s *shape) overlapLengthV(g *grid.Grid, col int, iv geom.Interval) int {
-	set := s.v[col]
-	if set == nil {
+	if iv.Empty() {
 		return 0
 	}
 	total := 0
-	for _, own := range set.Intervals() {
-		x := own.Intersect(iv)
-		if !x.Empty() {
-			total += g.SpanLengthY(x.Lo, x.Hi)
-		}
+	for i := searchSpans(s.v, col, iv.Lo); i < len(s.v) && s.v[i].track == col && s.v[i].lo <= iv.Hi; i++ {
+		x := geom.Iv(s.v[i].lo, s.v[i].hi).Intersect(iv)
+		total += g.SpanLengthY(x.Lo, x.Hi)
 	}
 	return total
 }
