@@ -20,37 +20,38 @@ import (
 // derived values and excluded), so it is insensitive to formatting
 // and architecture.
 func Hash(res *Result) string {
-	h := sha256.New()
-	hstr(h, res.Flow)
-	hints(h, int(res.Area), res.Width, res.Height, res.WireLength, res.Vias,
+	d := hasher{h: sha256.New(), buf: make([]byte, 0, 2*hashChunk)}
+	d.str(res.Flow)
+	d.ints(int(res.Area), res.Width, res.Height, res.WireLength, res.Vias,
 		res.Feedthroughs, res.Degraded, len(res.ChannelTracks))
-	hints(h, res.ChannelTracks...)
+	d.ints(res.ChannelTracks...)
 	if lb := res.LevelB; lb != nil {
-		hints(h, len(lb.Routes), lb.WireLength, lb.Vias, lb.Corners, lb.Failed, lb.Expanded)
+		d.ints(len(lb.Routes), lb.WireLength, lb.Vias, lb.Corners, lb.Failed, lb.Expanded)
 		for _, nr := range lb.Routes {
-			hashNetRoute(h, nr)
+			d.netRoute(nr)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	d.flush()
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
-func hashNetRoute(h hash.Hash, nr *core.NetRoute) {
+func (d *hasher) netRoute(nr *core.NetRoute) {
 	if nr.Net != nil {
-		hstr(h, nr.Net.Name)
+		d.str(nr.Net.Name)
 	}
-	hints(h, nr.WireLength, nr.Corners, len(nr.Terminals), len(nr.Segments), len(nr.Vias))
+	d.ints(nr.WireLength, nr.Corners, len(nr.Terminals), len(nr.Segments), len(nr.Vias))
 	for _, p := range nr.Terminals {
-		hints(h, p.Col, p.Row)
+		d.ints(p.Col, p.Row)
 	}
 	for _, s := range nr.Segments {
 		dir := 0
 		if s.Horizontal {
 			dir = 1
 		}
-		hints(h, dir, s.Track, s.Lo, s.Hi)
+		d.ints(dir, s.Track, s.Lo, s.Hi)
 	}
 	for _, p := range nr.Vias {
-		hints(h, p.Col, p.Row)
+		d.ints(p.Col, p.Row)
 	}
 	// Failure presence participates (a degraded net is not the same
 	// result as a routed one) but not the error text, which may carry
@@ -59,18 +60,37 @@ func hashNetRoute(h hash.Hash, nr *core.NetRoute) {
 	if nr.Err != nil {
 		failed = 1
 	}
-	hints(h, failed)
+	d.ints(failed)
 }
 
-func hstr(h hash.Hash, s string) {
-	hints(h, len(s))
-	_, _ = h.Write([]byte(s)) // hash.Hash.Write never errors
+// hashChunk is how many buffered bytes hasher collects before it
+// writes them to the hash.
+const hashChunk = 4096
+
+// hasher feeds Hash's byte stream to the hash through one reused
+// buffer: each int as 8 little-endian bytes, each string as its
+// length, then its bytes. Writing each field through its own slice
+// would move that slice to the heap, since the hash is an interface.
+type hasher struct {
+	h   hash.Hash
+	buf []byte
 }
 
-func hints(h hash.Hash, vs ...int) {
-	var buf [8]byte
+func (d *hasher) str(s string) {
+	d.ints(len(s))
+	d.buf = append(d.buf, s...)
+}
+
+func (d *hasher) ints(vs ...int) {
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		_, _ = h.Write(buf[:]) // hash.Hash.Write never errors
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(int64(v)))
 	}
+	if len(d.buf) >= hashChunk {
+		d.flush()
+	}
+}
+
+func (d *hasher) flush() {
+	_, _ = d.h.Write(d.buf) // hash.Hash.Write never errors
+	d.buf = d.buf[:0]
 }
