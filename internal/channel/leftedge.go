@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // item is one track-assignable unit: a whole net for LeftEdge, a
@@ -306,25 +305,27 @@ func emitPinVerticals(sol *Solution, nets []int, pins []pinRef, tapsAt func(i in
 }
 
 // sortSolution orders geometry deterministically for stable output.
+// Ties (one net's top and bottom verticals in a column) keep the order
+// pdqsort leaves them in, which is part of the output: ref_test.go's
+// routers sort with sort.Slice, the same pdqsort, so the oracles see a
+// change in tie order.
 func sortSolution(sol *Solution) {
-	sort.Slice(sol.Horizontals, func(i, j int) bool {
-		a, b := sol.Horizontals[i], sol.Horizontals[j]
-		if a.Track != b.Track {
-			return a.Track < b.Track
+	slices.SortFunc(sol.Horizontals, func(a, b Segment) int {
+		if c := cmp.Compare(a.Track, b.Track); c != 0 {
+			return c
 		}
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
+		if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+			return c
 		}
-		return a.Net < b.Net
+		return cmp.Compare(a.Net, b.Net)
 	})
-	sort.Slice(sol.Verticals, func(i, j int) bool {
-		a, b := sol.Verticals[i], sol.Verticals[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
+	slices.SortFunc(sol.Verticals, func(a, b Vertical) int {
+		if c := cmp.Compare(a.Col, b.Col); c != 0 {
+			return c
 		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
+		if c := cmp.Compare(a.Net, b.Net); c != 0 {
+			return c
 		}
-		return a.FromTrack < b.FromTrack
+		return cmp.Compare(a.FromTrack, b.FromTrack)
 	})
 }

@@ -129,7 +129,7 @@ func refLeftEdge(p *Problem) (*Solution, error) {
 		}
 		return nil
 	}, through)
-	sortSolution(sol)
+	refSortSolution(sol)
 	return sol, nil
 }
 
@@ -215,7 +215,7 @@ func refDogleg(p *Problem) (*Solution, error) {
 		sort.Ints(ts)
 		return ts
 	}, through)
-	sortSolution(sol)
+	refSortSolution(sol)
 	return sol, nil
 }
 
@@ -805,7 +805,7 @@ func (g *refGreedyRouter) emit() (*Solution, error) {
 		sort.Ints(out.Taps)
 		sol.Verticals = append(sol.Verticals, out)
 	}
-	sortSolution(sol)
+	refSortSolution(sol)
 	return sol, nil
 }
 
@@ -857,4 +857,30 @@ func refPinCounts(p *Problem) map[int]int {
 		}
 	}
 	return count
+}
+
+// refSortSolution is the sort.Slice form of sortSolution. The
+// reference routers call it so that the oracles catch any change in
+// the order sortSolution leaves tied verticals in.
+func refSortSolution(sol *Solution) {
+	sort.Slice(sol.Horizontals, func(i, j int) bool {
+		a, b := sol.Horizontals[i], sol.Horizontals[j]
+		if a.Track != b.Track {
+			return a.Track < b.Track
+		}
+		if a.Lo != b.Lo {
+			return a.Lo < b.Lo
+		}
+		return a.Net < b.Net
+	})
+	sort.Slice(sol.Verticals, func(i, j int) bool {
+		a, b := sol.Verticals[i], sol.Verticals[j]
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Net != b.Net {
+			return a.Net < b.Net
+		}
+		return a.FromTrack < b.FromTrack
+	})
 }
