@@ -12,21 +12,22 @@ import (
 	"overcell/internal/netlist"
 )
 
-// TestAllocationGates bounds allocations per call on two pinned
-// workloads at 1.10 times the allocs/op that BENCH_pr10.json records for
-// its levelb/nets100/seq (6,023) and table2/ami33 (22,144) rows.
-// Allocation counts do not depend on the host or its clock, so growth
-// past a bound is a regression wherever it shows. Each call builds its
-// own inputs, as the snapshot's workloads did; testing.AllocsPerRun
-// skips one warm-up call, so it reads a little below a single cold run.
+// TestAllocationGates bounds allocations per call on three pinned
+// workloads at 1.10 times the counts measured when net shapes became
+// flat: 2,982 for levelb_nets100, 9,898 for table2_ami33 and 10,697
+// for channelfree_ex3. Allocation counts do not depend on the host or
+// its clock, so growth past a bound is a regression wherever it shows.
+// Each call builds its own inputs; testing.AllocsPerRun skips one
+// warm-up call, so it reads a little below a single cold run.
 func TestAllocationGates(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		max   float64
 		route func() error
 	}{
-		{"levelb_nets100", 6625, routeLevelBNets100},
-		{"table2_ami33", 24358, routeTable2Ami33},
+		{"levelb_nets100", 3280, routeLevelBNets100},
+		{"table2_ami33", 10888, routeTable2Ami33},
+		{"channelfree_ex3", 11767, routeChannelFreeEx3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
@@ -94,4 +95,16 @@ func routeTable2Ami33() error {
 		}
 	}
 	return nil
+}
+
+// routeChannelFreeEx3 runs the channel-free flow on ex3 with default
+// options: every net at level B, so the multi-terminal nets' Steiner
+// decomposition is a large share of the work.
+func routeChannelFreeEx3() error {
+	inst, err := gen.Ex3Like()
+	if err != nil {
+		return err
+	}
+	_, err = flow.ChannelFree(inst, flow.Options{})
+	return err
 }
