@@ -39,7 +39,8 @@ bench:
 # fuzz smoke-runs each fuzz target for a short burst (go's -fuzz flag
 # accepts one target per invocation). Crashers land under the package's
 # testdata/fuzz/ (internal/channel, internal/core, internal/geom,
-# internal/robust/fault, internal/verify) and replay via plain `go test`.
+# internal/robust/fault, internal/tig, internal/verify) and replay via
+# plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/channel -run='^$$' -fuzz=FuzzGreedy -fuzztime=$(FUZZTIME)
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/geom -run='^$$' -fuzz=FuzzIntervalSet -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzProposed -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzTIGSearch -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tig -run='^$$' -fuzz=FuzzSearchMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/verify -run='^$$' -fuzz=FuzzVerify -fuzztime=$(FUZZTIME)
 
 clean:

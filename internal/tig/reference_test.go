@@ -28,6 +28,7 @@ type refResult struct {
 	expanded              int
 	refusedUsable         int
 	refusedBlocked        int
+	multiWordSpans        int // expanded spans across three or more 64-track words
 	outOfWindow, sameTerm bool
 }
 
@@ -126,6 +127,9 @@ func refSearch(s Surface, from, to Point, cfg Config) refResult {
 			if !ok {
 				continue
 			}
+			if span.Hi/64-span.Lo/64 >= 2 {
+				res.multiWordSpans++
+			}
 			for q := span.Lo; q <= span.Hi; q++ {
 				if q == n.entry {
 					continue
@@ -185,6 +189,43 @@ func randomSurface(t *testing.T, rng *rand.Rand) *grid.Grid {
 	return g
 }
 
+// wideSurface draws a grid 60 to 200 tracks one way and 2 to 16 the
+// other, with up to eight rectangles up to 64 tracks long and 1 to 3
+// thick blocked on one layer or both, and up to 40 points blocked on
+// one layer. Its clear spans and its runs of visited tracks cross
+// several 64-track words of the search's bitsets, and the points leave
+// unvisited tracks scattered through those runs: a track whose
+// intersection with the first track is blocked stays open to a later
+// parent.
+func wideSurface(t *testing.T, rng *rand.Rand) *grid.Grid {
+	t.Helper()
+	long, short := 60+rng.Intn(141), 2+rng.Intn(15)
+	vertical := rng.Intn(2) == 0 // the long direction runs down the rows
+	nx, ny := long, short
+	if vertical {
+		nx, ny = short, long
+	}
+	g, err := grid.Uniform(nx, ny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := []grid.Mask{grid.MaskH, grid.MaskV, grid.MaskBoth}
+	for k := rng.Intn(9); k > 0; k-- {
+		a, b := rng.Intn(long), rng.Intn(short)
+		a1, b1 := min(long-1, a+rng.Intn(64)), min(short-1, b+rng.Intn(3))
+		r := geom.R(a, b, a1, b1)
+		if vertical {
+			r = geom.R(b, a, b1, a1)
+		}
+		g.BlockRect(r, masks[rng.Intn(len(masks))])
+	}
+	for k := rng.Intn(41); k > 0; k-- {
+		c, r := rng.Intn(nx), rng.Intn(ny)
+		g.BlockRect(geom.R(c, r, c, r), masks[rng.Intn(2)])
+	}
+	return g
+}
+
 // randomTerminal picks a point clear on both layers when a few draws
 // find one.
 func randomTerminal(rng *rand.Rand, g *grid.Grid) Point {
@@ -195,17 +236,29 @@ func randomTerminal(rng *rand.Rand, g *grid.Grid) Point {
 	return p
 }
 
-// TestSearchMatchesReference runs Search and refSearch on random
-// grids under both visit rules, every start choice and a default and a
-// lifted MaxPaths. The paths, their order, Corners, Levels and
-// Expanded must match, and Pruned must count every refusal of the
-// visit rule, at usable and at blocked intersections alike.
-func TestSearchMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	st := NewSearcher()
-	var searches, found, refusedBlocked int
-	for trial := 0; trial < 300; trial++ {
-		g := randomSurface(t, rng)
+// searchFamily is a family of random searches: grids drawn by one
+// generator from a fixed seed.
+type searchFamily struct {
+	name  string
+	seed  int64
+	grids int
+	draw  func(*testing.T, *rand.Rand) *grid.Grid
+}
+
+var searchFamilies = []searchFamily{
+	{name: "small", seed: 20, grids: 300, draw: randomSurface},
+	{name: "wide", seed: 21, grids: 200, draw: wideSurface},
+}
+
+// each draws the family's grids with two terminals, a window around
+// them or none, and a corner cap or none, and calls f on each grid
+// under both visit rules, every start choice and a default and a
+// lifted MaxPaths.
+func (fam searchFamily) each(t *testing.T, f func(name string, g *grid.Grid, from, to Point, cfg Config)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(fam.seed))
+	for trial := 0; trial < fam.grids; trial++ {
+		g := fam.draw(t, rng)
 		from, to := randomTerminal(rng, g), randomTerminal(rng, g)
 		var window [2]geom.Interval
 		if rng.Intn(2) == 0 {
@@ -225,33 +278,172 @@ func TestSearchMatchesReference(t *testing.T) {
 						MaxCorners: maxCorners, RelaxedVisit: relaxed,
 						Starts: starts, MaxPaths: maxPaths,
 					}
-					name := fmt.Sprintf("trial %d %dx%d %v->%v %+v", trial, g.NX(), g.NY(), from, to, cfg)
-					want := refSearch(g, from, to, cfg)
-					got, ok := st.Search(g, from, to, cfg)
-					searches++
-					if ok != want.found {
-						t.Fatalf("%s: found = %v, reference %v", name, ok, want.found)
-					}
-					if want.sameTerm || want.outOfWindow {
-						continue
-					}
-					if ok {
-						found++
-					}
-					refusedBlocked += want.refusedBlocked
-					compareReference(t, name, got, want)
+					name := fmt.Sprintf("%s trial %d %dx%d %v->%v %+v", fam.name, trial, g.NX(), g.NY(), from, to, cfg)
+					f(name, g, from, to, cfg)
 				}
 			}
 		}
 	}
-	t.Logf("%d searches, %d found a path; %d refusals at blocked intersections", searches, found, refusedBlocked)
-	if found == 0 || refusedBlocked == 0 {
-		t.Error("the random family never found a path or never refused at a blocked intersection")
+}
+
+// TestSearchMatchesReference runs Search and refSearch on the random
+// families under both visit rules, every start choice and a default
+// and a lifted MaxPaths. The paths, their order, Corners, Levels and
+// Expanded must match, and Pruned must count every refusal of the
+// visit rule, at usable and at blocked intersections alike. The wide
+// family holds the word-at-a-time scan and count of refused tracks to
+// the reference across word boundaries.
+func TestSearchMatchesReference(t *testing.T) {
+	st := NewSearcher()
+	for _, fam := range searchFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			var searches, found, refusedBlocked, multiWord int
+			fam.each(t, func(name string, g *grid.Grid, from, to Point, cfg Config) {
+				want := refSearch(g, from, to, cfg)
+				got, ok := st.Search(g, from, to, cfg)
+				searches++
+				if !compareReference(t, name, got, ok, want) {
+					return
+				}
+				if ok {
+					found++
+				}
+				refusedBlocked += want.refusedBlocked
+				multiWord += want.multiWordSpans
+			})
+			t.Logf("%d searches, %d found a path; %d refusals at blocked intersections; %d spans across three or more words",
+				searches, found, refusedBlocked, multiWord)
+			if found == 0 || refusedBlocked == 0 {
+				t.Error("the family never found a path or never refused at a blocked intersection")
+			}
+			if fam.name == "wide" && multiWord == 0 {
+				t.Error("the wide family never expanded a span across three or more 64-track words")
+			}
+		})
 	}
 }
 
-func compareReference(t *testing.T, name string, got *Result, want refResult) {
+// TestSearchExaminesEachTrackOnce walks the Path Selection Trees of
+// every search of the random families. Under the strict rule no
+// non-target track appears in two nodes; under the relaxed rule all
+// the nodes of one non-target track share one level. refSearch reads
+// the rule as Search does, so this checks the closing of tracks from
+// outside both.
+func TestSearchExaminesEachTrackOnce(t *testing.T) {
+	st := NewSearcher()
+	for _, fam := range searchFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			nodes := 0
+			fam.each(t, func(name string, g *grid.Grid, from, to Point, cfg Config) {
+				if res, _ := st.Search(g, from, to, cfg); res != nil {
+					nodes += checkExamineOnce(t, name, res, to, cfg.RelaxedVisit)
+				}
+			})
+			if nodes == 0 {
+				t.Error("no search built a tree")
+			}
+		})
+	}
+}
+
+// checkExamineOnce walks res.Trees and fails t when a non-target track
+// appears in two nodes (strict rule) or at two levels (relaxed rule).
+// It returns the number of nodes walked.
+func checkExamineOnce(t *testing.T, name string, res *Result, to Point, relaxed bool) int {
 	t.Helper()
+	level := map[Track]int{}
+	nodes := 0
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		nodes++
+		target := n.Track.Vertical && n.Track.Index == to.Col || !n.Track.Vertical && n.Track.Index == to.Row
+		if prev, seen := level[n.Track]; seen && !target {
+			if !relaxed {
+				t.Fatalf("%s: track %v entered twice, at levels %d and %d", name, n.Track, prev, n.Level)
+			}
+			if prev != n.Level {
+				t.Fatalf("%s: track %v entered at levels %d and %d", name, n.Track, prev, n.Level)
+			}
+		}
+		level[n.Track] = n.Level
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, root := range res.Trees {
+		walk(root)
+	}
+	return nodes
+}
+
+// FuzzSearchMatchesReference holds Search to refSearch, and its trees
+// to the visit rule, on grids decoded from the fuzz input. The first
+// two bytes size the grid: 2 to 200 tracks one way and 2 to 16 the
+// other. A flag byte picks which way is long, the visit rule, the
+// start tracks, a lifted MaxPaths and a window; the next bytes give
+// the window margin (0 to 3), a corner cap (0 for the default, else 1
+// to 4) and the two terminals. Every further five bytes block a
+// rectangle: its corner, its extent along each axis and its layers.
+func FuzzSearchMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{8, 8, 0x00, 0, 0, 1, 1, 6, 6})
+	f.Add([]byte{198, 6, 0x22, 1, 0, 3, 2, 190, 4, 40, 1, 60, 1, 1, 100, 3, 30, 0, 2})
+	f.Add([]byte{150, 12, 0x1f, 2, 2, 140, 1, 5, 10, 20, 5, 70, 2, 0, 70, 0, 8, 60, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append(data, make([]byte, 9)...) // pad the header
+		long, short := 2+int(data[0])%199, 2+int(data[1])%15
+		flags := data[2]
+		nx, ny := long, short
+		if flags&0x01 != 0 {
+			nx, ny = short, long
+		}
+		g, err := grid.Uniform(nx, ny, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			RelaxedVisit: flags&0x02 != 0,
+			Starts:       Starts(int(flags>>2&0x03) % 3),
+		}
+		if flags&0x10 != 0 {
+			cfg.MaxPaths = 1 << 20
+		}
+		if c := int(data[4]) % 5; c > 0 {
+			cfg.MaxCorners = c
+		}
+		from := Point{Col: int(data[5]) % nx, Row: int(data[6]) % ny}
+		to := Point{Col: int(data[7]) % nx, Row: int(data[8]) % ny}
+		if flags&0x20 != 0 {
+			m := int(data[3]) % 4
+			cfg.ColBounds = geom.Iv(min(from.Col, to.Col)-m, max(from.Col, to.Col)+m)
+			cfg.RowBounds = geom.Iv(min(from.Row, to.Row)-m, max(from.Row, to.Row)+m)
+		}
+		masks := []grid.Mask{grid.MaskH, grid.MaskV, grid.MaskBoth}
+		for rest := data[9:]; len(rest) >= 5; rest = rest[5:] {
+			x0, y0 := int(rest[0])%nx, int(rest[1])%ny
+			x1, y1 := min(nx-1, x0+int(rest[2])%nx), min(ny-1, y0+int(rest[3])%ny)
+			g.BlockRect(geom.R(x0, y0, x1, y1), masks[int(rest[4])%len(masks)])
+		}
+		name := fmt.Sprintf("%dx%d %v->%v %+v", nx, ny, from, to, cfg)
+		got, ok := Search(g, from, to, cfg)
+		if compareReference(t, name, got, ok, refSearch(g, from, to, cfg)) {
+			checkExamineOnce(t, name, got, to, cfg.RelaxedVisit)
+		}
+	})
+}
+
+// compareReference fails t where Search's result and success differ
+// from the reference's. It reports false when the case stopped before
+// any search (identical terminals, or terminals outside the window),
+// which leaves nothing more to compare.
+func compareReference(t *testing.T, name string, got *Result, ok bool, want refResult) bool {
+	t.Helper()
+	if ok != want.found {
+		t.Fatalf("%s: found = %v, reference %v", name, ok, want.found)
+	}
+	if want.sameTerm || want.outOfWindow {
+		return false
+	}
 	if len(got.Paths) != len(want.paths) {
 		t.Fatalf("%s: %d paths, reference %d", name, len(got.Paths), len(want.paths))
 	}
@@ -268,4 +460,5 @@ func compareReference(t *testing.T, name string, got *Result, want refResult) {
 		t.Fatalf("%s: Pruned = %d, reference refused %d (%d usable, %d blocked)", name,
 			got.Pruned, refused, want.refusedUsable, want.refusedBlocked)
 	}
+	return true
 }
