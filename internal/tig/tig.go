@@ -22,6 +22,7 @@ package tig
 
 import (
 	"fmt"
+	"math/bits"
 
 	"overcell/internal/geom"
 	"overcell/internal/obs"
@@ -165,9 +166,11 @@ type Config struct {
 	ColBounds, RowBounds geom.Interval
 	// MaxCorners caps the BFS depth. Zero means DefaultMaxCorners.
 	MaxCorners int
-	// RelaxedVisit disables the paper's examine-each-vertex-once rule,
-	// allowing a non-target track to be re-entered at the same BFS
-	// level from a different parent. Used by the ablation benchmarks.
+	// RelaxedVisit relaxes the paper's examine-each-vertex-once rule:
+	// a non-target track may be re-entered at the level it was first
+	// entered at, from a different parent, but still at no later level.
+	// core.connect's last escalation rung runs it on the full grid, and
+	// the ablation benchmarks compare it with the strict rule.
 	RelaxedVisit bool
 	// MaxPaths caps how many minimum-corner paths are collected.
 	// Zero means DefaultMaxPaths.
@@ -310,7 +313,7 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 		st.roots = append(st.roots, st.arena.alloc(Track{Vertical: false, Index: from.Row}, from.Col, 0, nil))
 	}
 	for _, root := range st.roots {
-		st.mark(root.Track, 0)
+		st.mark(root.Track)
 	}
 	st.frontier = append(st.frontier[:0], st.roots...)
 	res := &Result{Trees: st.roots}
@@ -343,6 +346,13 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 			finish(true)
 			return res, true
 		}
+		if st.relaxed {
+			// Close every track entered so far. A track the expansion
+			// below enters is only seen: it stays open to the other
+			// parents of its own level and closes before the next one.
+			copy(st.closedV, st.seenV)
+			copy(st.closedH, st.seenH)
+		}
 		st.next = st.next[:0]
 		for _, n := range st.frontier {
 			st.expand(n)
@@ -359,10 +369,9 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 }
 
 // Searcher owns the reusable scratch of an MBFS: the path-selection-
-// tree node arena, the flat epoch-stamped visited arrays that replace
-// a per-search map, the frontier queues, and the path reconstruction
-// buffers. A Searcher is not safe for concurrent use; the router keeps
-// one per Route call.
+// tree node arena, the per-direction track bitsets of the visit rule,
+// the frontier queues, and the path reconstruction buffers. A Searcher
+// is not safe for concurrent use; the router keeps one per Route call.
 type Searcher struct {
 	// Per-call search view.
 	s        Surface
@@ -376,33 +385,29 @@ type Searcher struct {
 	err      error // first budget/cancellation error; stops the search
 
 	// Reusable scratch, reset by prepare.
-	arena     nodeArena
-	visStampV []uint64 // per vertical track: epoch of last visit
-	visStampH []uint64 // per horizontal track
-	visLevelV []int    // level recorded at that visit
-	visLevelH []int
-	visEpoch  uint64
-	roots     []*Node
-	frontier  []*Node
-	next      []*Node
-	done      []Path
-	chain     []*Node
-	pts       []Point // path-point arena; each reconstructed path is a capped window
+	arena nodeArena
+	// closedV and closedH hold the tracks the visit rule refuses at
+	// the level being expanded, one bit per vertical or horizontal
+	// track. Under the relaxed rule a track is first recorded in seenV
+	// or seenH and closes when the next level starts.
+	closedV, closedH bitset
+	seenV, seenH     bitset
+	roots            []*Node
+	frontier         []*Node
+	next             []*Node
+	done             []Path
+	chain            []*Node
+	pts              []Point // path-point arena; each reconstructed path is a capped window
 }
 
-// prepare resets the searcher for a new run, growing the visited
-// arrays to the surface's track counts if needed. Visited state is
-// invalidated in O(1) by bumping the epoch.
+// prepare resets the searcher for a new run, sizing the track bitsets
+// to the surface's track counts and clearing them: one word per 64
+// tracks, so the reset costs a few words per direction.
 func (st *Searcher) prepare(nx, ny int) {
-	if len(st.visStampV) < nx {
-		st.visStampV = make([]uint64, nx)
-		st.visLevelV = make([]int, nx)
-	}
-	if len(st.visStampH) < ny {
-		st.visStampH = make([]uint64, ny)
-		st.visLevelH = make([]int, ny)
-	}
-	st.visEpoch++
+	st.closedV = st.closedV.reset(nx)
+	st.closedH = st.closedH.reset(ny)
+	st.seenV = st.seenV.reset(nx)
+	st.seenH = st.seenH.reset(ny)
 	st.arena.reset()
 	st.roots = st.roots[:0]
 	st.frontier = st.frontier[:0]
@@ -485,11 +490,13 @@ func (st *Searcher) complete(n *Node, from Point) (Path, bool) {
 
 // expand creates the children of n: every perpendicular track crossing
 // n's clear span at a usable intersection, subject to the visit rule.
-// The rule is an array lookup and refuses most candidates, so it runs
-// first; only a track it admits pays for the usability probe, and only
-// a usable one is marked visited. Children are appended to the
-// next-level frontier and charged against the search budget; once the
-// budget trips, expansion stops producing work.
+// The rule is a bit test and refuses most candidates, so it runs first:
+// the scan jumps from one open track to the next a word at a time, and
+// the refusals it skips are counted per span by popcount. Only an open
+// track pays for the usability probe, and only a usable one is marked.
+// Children are appended to the next-level frontier and charged against
+// the search budget; once the budget trips, expansion stops producing
+// work.
 //
 //oc:hotpath
 func (st *Searcher) expand(n *Node) {
@@ -502,18 +509,27 @@ func (st *Searcher) expand(n *Node) {
 	}
 	level := n.Level + 1
 	entry := n.Track.Index
+	vertical := !n.Track.Vertical
+	closed := st.closedH
+	if vertical {
+		closed = st.closedV
+	}
+	// Every closed track of the span is one refusal, except the entry
+	// track: a corner on top of the previous one is skipped unasked.
+	// The strict rule closes tracks during the scan, but only behind it,
+	// so counting before the scan counts what the scan refuses.
+	st.pruned += closed.countBits(span.Lo, span.Hi)
+	if closed.has(n.Entry) {
+		st.pruned--
+	}
 	added := 0
-	for q := span.Lo; q <= span.Hi; q++ {
+	for q := closed.nextClear(span.Lo, span.Hi); q <= span.Hi; q = closed.nextClear(q+1, span.Hi) {
 		if q == n.Entry {
 			continue // zero-length run: a corner on top of the previous one
 		}
 		// Corner at the intersection of n's track with track q.
-		child := Track{Vertical: !n.Track.Vertical, Index: q}
-		if st.refused(child, level) {
-			continue
-		}
 		var usable bool
-		if child.Vertical {
+		if vertical {
 			_, usable = st.s.VClearSpan(q, entry, st.rb)
 		} else {
 			_, usable = st.s.HClearSpan(q, entry, st.cb)
@@ -521,7 +537,8 @@ func (st *Searcher) expand(n *Node) {
 		if !usable {
 			continue
 		}
-		st.mark(child, level)
+		child := Track{Vertical: vertical, Index: q}
+		st.mark(child)
 		c := st.arena.alloc(child, entry, level, n)
 		n.Children = append(n.Children, c)
 		st.next = append(st.next, c)
@@ -533,41 +550,82 @@ func (st *Searcher) expand(n *Node) {
 	}
 }
 
-// refused applies the examine-each-vertex-once rule: a non-target
-// track already visited at an earlier (or, in strict mode, the same)
-// level is not re-entered, and each refusal is counted in pruned.
-// Target tracks are never refused (the paper's "with the exception of
-// the target vertices"). refused only reads the visited state: expand
-// marks a track after its intersection proves usable, so a track met
-// so far only at blocked intersections stays open to a later parent.
-// Visited state lives in flat per-direction arrays stamped with the
-// search epoch.
-//
-//oc:hotpath
-func (st *Searcher) refused(t Track, level int) bool {
-	if (t.Vertical && t.Index == st.to.Col) || (!t.Vertical && t.Index == st.to.Row) {
-		return false
-	}
-	stamp, lev := st.visStampH, st.visLevelH
-	if t.Vertical {
-		stamp, lev = st.visStampV, st.visLevelV
-	}
-	if stamp[t.Index] != st.visEpoch || (st.relaxed && lev[t.Index] == level) {
-		return false
-	}
-	st.pruned++
-	return true
-}
-
-// mark records a track as visited at the given level.
-func (st *Searcher) mark(t Track, level int) {
-	if t.Vertical {
-		st.visStampV[t.Index] = st.visEpoch
-		st.visLevelV[t.Index] = level
+// mark applies the examine-each-vertex-once rule to a track just
+// entered. A target track never closes (the paper's "with the
+// exception of the target vertices"). Under the strict rule a track
+// closes at once, so no later parent re-enters it, at this level or
+// any deeper one. Under the relaxed rule it is only seen, and closes
+// when the next level starts, so other parents at its own level may
+// still enter it. expand marks a track after its intersection proves
+// usable, so a track met so far only at blocked intersections stays
+// open to a later parent.
+func (st *Searcher) mark(t Track) {
+	if t.Vertical && t.Index == st.to.Col || !t.Vertical && t.Index == st.to.Row {
 		return
 	}
-	st.visStampH[t.Index] = st.visEpoch
-	st.visLevelH[t.Index] = level
+	switch {
+	case t.Vertical && st.relaxed:
+		st.seenV.set(t.Index)
+	case t.Vertical:
+		st.closedV.set(t.Index)
+	case st.relaxed:
+		st.seenH.set(t.Index)
+	default:
+		st.closedH.set(t.Index)
+	}
+}
+
+// bitset is a set of track indices, one bit per track.
+type bitset []uint64
+
+// reset returns the set resized to hold n tracks, all clear, reusing
+// b's backing when it is large enough.
+func (b bitset) reset(n int) bitset {
+	w := (n + 63) >> 6
+	if cap(b) < w {
+		return make(bitset, w)
+	}
+	b = b[:w]
+	clear(b)
+	return b
+}
+
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// nextClear returns the least index in [q, hi] whose bit is clear, or
+// a value above hi when there is none. It tests a word at a time.
+//
+//oc:hotpath
+func (b bitset) nextClear(q, hi int) int {
+	for q <= hi {
+		if w := ^b[q>>6] >> (q & 63); w != 0 {
+			return q + bits.TrailingZeros64(w)
+		}
+		q = (q | 63) + 1
+	}
+	return q
+}
+
+// countBits returns the number of set bits in [lo, hi].
+//
+//oc:hotpath
+func (b bitset) countBits(lo, hi int) int {
+	if lo > hi {
+		return 0
+	}
+	first, last := lo>>6, hi>>6
+	loMask := ^uint64(0) << (lo & 63)
+	hiMask := ^uint64(0) >> (63 - hi&63)
+	if first == last {
+		return bits.OnesCount64(b[first] & loMask & hiMask)
+	}
+	n := bits.OnesCount64(b[first]&loMask) + bits.OnesCount64(b[last]&hiMask)
+	for _, w := range b[first+1 : last] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // reconstruct walks the parent chain of a completing node and builds
