@@ -46,7 +46,7 @@ fuzz:
 	$(GO) test ./internal/channel -run='^$$' -fuzz=FuzzGreedy -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/channel -run='^$$' -fuzz=FuzzDoglegAndNetMerge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzShape -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/geom -run='^$$' -fuzz=FuzzIntervalSet -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/geom -run='^$$' -fuzz=FuzzBits -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzProposed -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzTIGSearch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tig -run='^$$' -fuzz=FuzzSearchMatchesReference -fuzztime=$(FUZZTIME)

@@ -18,8 +18,9 @@ type span struct {
 // shape is the accumulated metal of one net in track index space:
 // horizontal wire spans per row, vertical spans per column, and via
 // points. Each layer is one slice of spans sorted by track, then lo.
-// addSpan merges by IntervalSet.Add's touch-or-overlap rule, so the
-// spans of one track are disjoint and non-adjacent: overlapping
+// addSpan merges a new span with every span of its track that it
+// overlaps or touches ([1,2] and [3,4] merge to [1,4]), so the spans
+// of one track are disjoint and non-adjacent: overlapping
 // re-routes of the same net are deduplicated, and wire length
 // accounting is exact. Vias are one slice sorted by (Col, Row). Every
 // method walks the slices in that order, so commit order, cost

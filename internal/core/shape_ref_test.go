@@ -1,10 +1,11 @@
 package core
 
-// The oracle is the map-based shape that the flat one replaced, kept
-// unchanged apart from its names. It holds one IntervalSet per track
-// and a map of vias, and re-collects and sorts the keys on every walk,
-// which makes it slow but plainly right; shape_test.go requires every
-// method of the flat shape to return what the oracle's does.
+// The oracle is the map-based shape that the flat one replaced. It
+// holds one set of grid points per track and a map of vias, and on
+// every walk re-collects and sorts the keys and regroups each track's
+// points into maximal runs of consecutive points, which makes it slow
+// but plainly right; shape_test.go requires every method of the flat
+// shape to return what the oracle's does.
 
 import (
 	"sort"
@@ -14,36 +15,63 @@ import (
 	"overcell/internal/tig"
 )
 
+// refTrack is the set of grid points one track of a shape covers.
+type refTrack map[int]bool
+
 type refShape struct {
-	h    map[int]*geom.IntervalSet // row -> column spans on LayerH
-	v    map[int]*geom.IntervalSet // col -> row spans on LayerV
+	h    map[int]refTrack // row -> columns on LayerH
+	v    map[int]refTrack // col -> rows on LayerV
 	vias map[tig.Point]bool
 }
 
 func newRefShape() *refShape {
 	return &refShape{
-		h:    make(map[int]*geom.IntervalSet),
-		v:    make(map[int]*geom.IntervalSet),
+		h:    make(map[int]refTrack),
+		v:    make(map[int]refTrack),
 		vias: make(map[tig.Point]bool),
 	}
 }
 
-func (s *refShape) addH(row int, iv geom.Interval) {
-	set := s.h[row]
-	if set == nil {
-		set = &geom.IntervalSet{}
-		s.h[row] = set
+func refAdd(m map[int]refTrack, track int, iv geom.Interval) {
+	if m[track] == nil {
+		m[track] = refTrack{}
 	}
-	set.Add(iv)
+	for x := iv.Lo; x <= iv.Hi; x++ {
+		m[track][x] = true
+	}
 }
 
-func (s *refShape) addV(col int, iv geom.Interval) {
-	set := s.v[col]
-	if set == nil {
-		set = &geom.IntervalSet{}
-		s.v[col] = set
+func (s *refShape) addH(row int, iv geom.Interval) { refAdd(s.h, row, iv) }
+
+func (s *refShape) addV(col int, iv geom.Interval) { refAdd(s.v, col, iv) }
+
+// Intervals returns the track's maximal runs of consecutive points in
+// ascending order: points x and x+1 are in one run.
+func (t refTrack) Intervals() []geom.Interval {
+	pts := make([]int, 0, len(t))
+	for x := range t {
+		pts = append(pts, x)
 	}
-	set.Add(iv)
+	sort.Ints(pts)
+	var out []geom.Interval
+	for _, x := range pts {
+		if n := len(out); n > 0 && out[n-1].Hi+1 == x {
+			out[n-1].Hi = x
+		} else {
+			out = append(out, geom.Iv(x, x))
+		}
+	}
+	return out
+}
+
+// Overlaps reports whether the track covers a point of iv.
+func (t refTrack) Overlaps(iv geom.Interval) bool {
+	for x := iv.Lo; x <= iv.Hi; x++ {
+		if t[x] {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *refShape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
@@ -61,8 +89,8 @@ func (s *refShape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 			adj = pts[len(pts)-2]
 		}
 		arrivesH := adj.Row == e.Row
-		onH := s.h[e.Row] != nil && s.h[e.Row].Contains(e.Col)
-		onV := s.v[e.Col] != nil && s.v[e.Col].Contains(e.Row)
+		onH := s.h[e.Row][e.Col]
+		onV := s.v[e.Col][e.Row]
 		if arrivesH && !onH && onV || !arrivesH && !onV && onH {
 			s.vias[e] = true
 		}
@@ -80,7 +108,7 @@ func (s *refShape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 	}
 }
 
-func refSortedTracks(m map[int]*geom.IntervalSet) []int {
+func refSortedTracks(m map[int]refTrack) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -205,13 +233,7 @@ func (s *refShape) containsPoint(p tig.Point) bool {
 	if s.vias[p] {
 		return true
 	}
-	if set := s.h[p.Row]; set != nil && set.Contains(p.Col) {
-		return true
-	}
-	if set := s.v[p.Col]; set != nil && set.Contains(p.Row) {
-		return true
-	}
-	return false
+	return s.h[p.Row][p.Col] || s.v[p.Col][p.Row]
 }
 
 func (s *refShape) segments() []Segment {
@@ -241,12 +263,8 @@ func refLessPoint(a, b tig.Point) bool {
 }
 
 func (s *refShape) overlapLengthH(g *grid.Grid, row int, iv geom.Interval) int {
-	set := s.h[row]
-	if set == nil {
-		return 0
-	}
 	total := 0
-	for _, own := range set.Intervals() {
+	for _, own := range s.h[row].Intervals() {
 		x := own.Intersect(iv)
 		if !x.Empty() {
 			total += g.SpanLengthX(x.Lo, x.Hi)
@@ -256,12 +274,8 @@ func (s *refShape) overlapLengthH(g *grid.Grid, row int, iv geom.Interval) int {
 }
 
 func (s *refShape) overlapLengthV(g *grid.Grid, col int, iv geom.Interval) int {
-	set := s.v[col]
-	if set == nil {
-		return 0
-	}
 	total := 0
-	for _, own := range set.Intervals() {
+	for _, own := range s.v[col].Intervals() {
 		x := own.Intersect(iv)
 		if !x.Empty() {
 			total += g.SpanLengthY(x.Lo, x.Hi)

@@ -1,6 +1,6 @@
 // Package geom provides the rectilinear geometry kernel used by every
 // routing package in this module: integer points, rectangles, closed
-// intervals and interval sets with occupancy queries.
+// intervals and bitsets with occupancy queries.
 //
 // All coordinates are integers. Routing in this module happens on grids
 // of tracks, so geometry never needs floating point; keeping everything

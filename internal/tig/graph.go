@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"overcell/internal/geom"
+	"overcell/internal/grid"
 )
 
 // Edge is one edge of the Track Intersection Graph: a usable
@@ -15,8 +16,8 @@ type Edge struct {
 }
 
 // Graph is the explicit bipartite Track Intersection Graph over a
-// window of the routing surface. The MBFS never materialises this
-// graph (it queries the surface lazily); Graph exists for analysis,
+// window of the routing grid. The MBFS never materialises this
+// graph (it queries the grid lazily); Graph exists for analysis,
 // tests, and the Figure 1 rendering.
 type Graph struct {
 	Cols, Rows geom.Interval
@@ -24,18 +25,18 @@ type Graph struct {
 }
 
 // BuildGraph enumerates every usable track intersection in the window.
-func BuildGraph(s Surface, cols, rows geom.Interval) *Graph {
-	cols = cols.Intersect(geom.Iv(0, s.NX()-1))
-	rows = rows.Intersect(geom.Iv(0, s.NY()-1))
-	g := &Graph{Cols: cols, Rows: rows}
+func BuildGraph(g *grid.Grid, cols, rows geom.Interval) *Graph {
+	cols = cols.Intersect(geom.Iv(0, g.NX()-1))
+	rows = rows.Intersect(geom.Iv(0, g.NY()-1))
+	tg := &Graph{Cols: cols, Rows: rows}
 	for i := cols.Lo; i <= cols.Hi; i++ {
 		for j := rows.Lo; j <= rows.Hi; j++ {
-			if s.PointFree(i, j) {
-				g.Edges = append(g.Edges, Edge{V: i, H: j})
+			if g.PointFree(i, j) {
+				tg.Edges = append(tg.Edges, Edge{V: i, H: j})
 			}
 		}
 	}
-	return g
+	return tg
 }
 
 // Degree returns the number of usable intersections on the given track.

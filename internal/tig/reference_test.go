@@ -36,16 +36,16 @@ type refResult struct {
 // Search: visited tracks in a map, tree nodes on the heap, no budget.
 // For each candidate it probes the intersection first and then applies
 // the visit rule, and it counts every refusal, usable or not.
-func refSearch(s Surface, from, to Point, cfg Config) refResult {
+func refSearch(g *grid.Grid, from, to Point, cfg Config) refResult {
 	if from == to {
 		return refResult{found: true, sameTerm: true}
 	}
 	cb, rb := cfg.ColBounds, cfg.RowBounds
 	if cb == (geom.Interval{}) && rb == (geom.Interval{}) {
-		cb, rb = geom.Iv(0, s.NX()-1), geom.Iv(0, s.NY()-1)
+		cb, rb = geom.Iv(0, g.NX()-1), geom.Iv(0, g.NY()-1)
 	}
-	cb = cb.Intersect(geom.Iv(0, s.NX()-1))
-	rb = rb.Intersect(geom.Iv(0, s.NY()-1))
+	cb = cb.Intersect(geom.Iv(0, g.NX()-1))
+	rb = rb.Intersect(geom.Iv(0, g.NY()-1))
 	if !cb.Contains(from.Col) || !cb.Contains(to.Col) || !rb.Contains(from.Row) || !rb.Contains(to.Row) {
 		return refResult{outOfWindow: true}
 	}
@@ -58,9 +58,9 @@ func refSearch(s Surface, from, to Point, cfg Config) refResult {
 	}
 	clearSpan := func(t Track, at int) (geom.Interval, bool) {
 		if t.Vertical {
-			return s.VClearSpan(t.Index, at, rb)
+			return g.VClearSpan(t.Index, at, rb)
 		}
-		return s.HClearSpan(t.Index, at, cb)
+		return g.HClearSpan(t.Index, at, cb)
 	}
 	isTarget := func(t Track) bool {
 		return t.Vertical && t.Index == to.Col || !t.Vertical && t.Index == to.Row

@@ -22,29 +22,12 @@ package tig
 
 import (
 	"fmt"
-	"math/bits"
 
 	"overcell/internal/geom"
+	"overcell/internal/grid"
 	"overcell/internal/obs"
 	"overcell/internal/robust"
 )
-
-// Surface is the occupancy oracle the search consults. *grid.Grid
-// implements it; tests may substitute synthetic surfaces.
-type Surface interface {
-	// NX and NY return the number of vertical and horizontal tracks.
-	NX() int
-	NY() int
-	// HClearSpan returns the maximal clear column span on the given
-	// horizontal track that contains col, clipped to bounds; ok is
-	// false when col itself is blocked there.
-	HClearSpan(row, col int, bounds geom.Interval) (geom.Interval, bool)
-	// VClearSpan is the vertical analogue.
-	VClearSpan(col, row int, bounds geom.Interval) (geom.Interval, bool)
-	// PointFree reports whether the grid point is clear on both
-	// layers, i.e. the track intersection is usable for a corner.
-	PointFree(col, row int) bool
-}
 
 // Point is a grid point in track index space.
 type Point struct {
@@ -162,7 +145,7 @@ type Config struct {
 	// ColBounds and RowBounds clip the solution space to a window in
 	// track index space (the paper's rectangular region "I_n" defined
 	// by the two terminal locations). Zero-value bounds mean the full
-	// surface.
+	// grid.
 	ColBounds, RowBounds geom.Interval
 	// MaxCorners caps the BFS depth. Zero means DefaultMaxCorners.
 	MaxCorners int
@@ -242,8 +225,8 @@ type Result struct {
 }
 
 // Search finds all minimum-corner paths from terminal `from` to
-// terminal `to` on s. Both grid points must currently be clear on the
-// surface (the router lifts the net's own terminals and shapes before
+// terminal `to` on g. Both grid points must currently be clear on the
+// grid (the router lifts the net's own terminals and shapes before
 // searching). It returns nil and false when no path exists within the
 // configured window and corner budget.
 //
@@ -251,9 +234,9 @@ type Result struct {
 // everything it references stay valid indefinitely. Hot callers that
 // issue many searches should hold their own Searcher and call its
 // Search method to reuse the scratch memory.
-func Search(s Surface, from, to Point, cfg Config) (*Result, bool) {
+func Search(g *grid.Grid, from, to Point, cfg Config) (*Result, bool) {
 	var st Searcher
-	return st.Search(s, from, to, cfg)
+	return st.Search(g, from, to, cfg)
 }
 
 // NewSearcher returns a reusable searcher. The zero value is also
@@ -267,7 +250,7 @@ func NewSearcher() *Searcher { return &Searcher{} }
 // next call to Search on the same Searcher. The level-B router
 // consumes each result before issuing the next search; callers that
 // retain results across searches must use the package-level Search.
-func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool) {
+func (st *Searcher) Search(g *grid.Grid, from, to Point, cfg Config) (*Result, bool) {
 	if from == to {
 		return &Result{Paths: []Path{{Points: []Point{from}}}}, true
 	}
@@ -280,11 +263,11 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 	cb := cfg.ColBounds
 	rb := cfg.RowBounds
 	if cb == (geom.Interval{}) && rb == (geom.Interval{}) {
-		cb = geom.Iv(0, s.NX()-1)
-		rb = geom.Iv(0, s.NY()-1)
+		cb = geom.Iv(0, g.NX()-1)
+		rb = geom.Iv(0, g.NY()-1)
 	}
-	cb = cb.Intersect(geom.Iv(0, s.NX()-1))
-	rb = rb.Intersect(geom.Iv(0, s.NY()-1))
+	cb = cb.Intersect(geom.Iv(0, g.NX()-1))
+	rb = rb.Intersect(geom.Iv(0, g.NY()-1))
 	if !cb.Contains(from.Col) || !cb.Contains(to.Col) ||
 		!rb.Contains(from.Row) || !rb.Contains(to.Row) {
 		return nil, false
@@ -298,8 +281,8 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 		maxPaths = DefaultMaxPaths
 	}
 
-	st.prepare(s.NX(), s.NY())
-	st.s, st.to, st.cb, st.rb = s, to, cb, rb
+	st.prepare(g.NX(), g.NY())
+	st.g, st.to, st.cb, st.rb = g, to, cb, rb
 	st.relaxed = cfg.RelaxedVisit
 	st.maxPaths = maxPaths
 	st.budget = cfg.Budget
@@ -374,7 +357,7 @@ func (st *Searcher) Search(s Surface, from, to Point, cfg Config) (*Result, bool
 // is not safe for concurrent use; the router keeps one per Route call.
 type Searcher struct {
 	// Per-call search view.
-	s        Surface
+	g        *grid.Grid
 	to       Point
 	cb, rb   geom.Interval
 	relaxed  bool
@@ -390,8 +373,8 @@ type Searcher struct {
 	// the level being expanded, one bit per vertical or horizontal
 	// track. Under the relaxed rule a track is first recorded in seenV
 	// or seenH and closes when the next level starts.
-	closedV, closedH bitset
-	seenV, seenH     bitset
+	closedV, closedH geom.Bits
+	seenV, seenH     geom.Bits
 	roots            []*Node
 	frontier         []*Node
 	next             []*Node
@@ -401,13 +384,13 @@ type Searcher struct {
 }
 
 // prepare resets the searcher for a new run, sizing the track bitsets
-// to the surface's track counts and clearing them: one word per 64
+// to the grid's track counts and clearing them: one word per 64
 // tracks, so the reset costs a few words per direction.
 func (st *Searcher) prepare(nx, ny int) {
-	st.closedV = st.closedV.reset(nx)
-	st.closedH = st.closedH.reset(ny)
-	st.seenV = st.seenV.reset(nx)
-	st.seenH = st.seenH.reset(ny)
+	st.closedV = st.closedV.Reset(nx)
+	st.closedH = st.closedH.Reset(ny)
+	st.seenV = st.seenV.Reset(nx)
+	st.seenH = st.seenH.Reset(ny)
 	st.arena.reset()
 	st.roots = st.roots[:0]
 	st.frontier = st.frontier[:0]
@@ -459,9 +442,9 @@ func (a *nodeArena) alloc(t Track, entry, level int, parent *Node) *Node {
 // a panic).
 func (st *Searcher) span(n *Node) (geom.Interval, bool) {
 	if n.Track.Vertical {
-		return st.s.VClearSpan(n.Track.Index, n.Entry, st.rb)
+		return st.g.VClearSpan(n.Track.Index, n.Entry, st.rb)
 	}
-	return st.s.HClearSpan(n.Track.Index, n.Entry, st.cb)
+	return st.g.HClearSpan(n.Track.Index, n.Entry, st.cb)
 }
 
 // complete reports whether n's track runs straight to the target
@@ -493,7 +476,8 @@ func (st *Searcher) complete(n *Node, from Point) (Path, bool) {
 // The rule is a bit test and refuses most candidates, so it runs first:
 // the scan jumps from one open track to the next a word at a time, and
 // the refusals it skips are counted per span by popcount. Only an open
-// track pays for the usability probe, and only a usable one is marked.
+// track pays for the usability probe, a point test at its corner, and
+// only a usable one is marked.
 // Children are appended to the next-level frontier and charged against
 // the search budget; once the budget trips, expansion stops producing
 // work.
@@ -518,23 +502,22 @@ func (st *Searcher) expand(n *Node) {
 	// track: a corner on top of the previous one is skipped unasked.
 	// The strict rule closes tracks during the scan, but only behind it,
 	// so counting before the scan counts what the scan refuses.
-	st.pruned += closed.countBits(span.Lo, span.Hi)
-	if closed.has(n.Entry) {
+	st.pruned += closed.Count(span.Lo, span.Hi)
+	if closed.Has(n.Entry) {
 		st.pruned--
 	}
 	added := 0
-	for q := closed.nextClear(span.Lo, span.Hi); q <= span.Hi; q = closed.nextClear(q+1, span.Hi) {
+	for q := closed.NextClear(span.Lo, span.Hi); q <= span.Hi; q = closed.NextClear(q+1, span.Hi) {
 		if q == n.Entry {
 			continue // zero-length run: a corner on top of the previous one
 		}
-		// Corner at the intersection of n's track with track q.
-		var usable bool
-		if vertical {
-			_, usable = st.s.VClearSpan(q, entry, st.rb)
-		} else {
-			_, usable = st.s.HClearSpan(q, entry, st.cb)
+		// Corner at the intersection of n's track with track q: n's
+		// layer is clear along the span, and the point test adds q's.
+		col, row := q, entry
+		if !vertical {
+			col, row = entry, q
 		}
-		if !usable {
+		if !st.g.PointFree(col, row) {
 			continue
 		}
 		child := Track{Vertical: vertical, Index: q}
@@ -565,67 +548,14 @@ func (st *Searcher) mark(t Track) {
 	}
 	switch {
 	case t.Vertical && st.relaxed:
-		st.seenV.set(t.Index)
+		st.seenV.Set(t.Index)
 	case t.Vertical:
-		st.closedV.set(t.Index)
+		st.closedV.Set(t.Index)
 	case st.relaxed:
-		st.seenH.set(t.Index)
+		st.seenH.Set(t.Index)
 	default:
-		st.closedH.set(t.Index)
+		st.closedH.Set(t.Index)
 	}
-}
-
-// bitset is a set of track indices, one bit per track.
-type bitset []uint64
-
-// reset returns the set resized to hold n tracks, all clear, reusing
-// b's backing when it is large enough.
-func (b bitset) reset(n int) bitset {
-	w := (n + 63) >> 6
-	if cap(b) < w {
-		return make(bitset, w)
-	}
-	b = b[:w]
-	clear(b)
-	return b
-}
-
-func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
-
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
-
-// nextClear returns the least index in [q, hi] whose bit is clear, or
-// a value above hi when there is none. It tests a word at a time.
-//
-//oc:hotpath
-func (b bitset) nextClear(q, hi int) int {
-	for q <= hi {
-		if w := ^b[q>>6] >> (q & 63); w != 0 {
-			return q + bits.TrailingZeros64(w)
-		}
-		q = (q | 63) + 1
-	}
-	return q
-}
-
-// countBits returns the number of set bits in [lo, hi].
-//
-//oc:hotpath
-func (b bitset) countBits(lo, hi int) int {
-	if lo > hi {
-		return 0
-	}
-	first, last := lo>>6, hi>>6
-	loMask := ^uint64(0) << (lo & 63)
-	hiMask := ^uint64(0) >> (63 - hi&63)
-	if first == last {
-		return bits.OnesCount64(b[first] & loMask & hiMask)
-	}
-	n := bits.OnesCount64(b[first]&loMask) + bits.OnesCount64(b[last]&hiMask)
-	for _, w := range b[first+1 : last] {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // reconstruct walks the parent chain of a completing node and builds
