@@ -13,9 +13,9 @@ import (
 )
 
 // TestAllocationGates bounds allocations per call on three pinned
-// workloads at 1.10 times the counts measured when net shapes became
-// flat: 2,982 for levelb_nets100, 9,898 for table2_ami33 and 10,697
-// for channelfree_ex3. Allocation counts do not depend on the host or
+// workloads at 1.10 times the counts measured when grid occupancy
+// became bitsets: 2,098 for levelb_nets100, 8,642 for table2_ami33 and
+// 8,568 for channelfree_ex3. Allocation counts do not depend on the host or
 // its clock, so growth past a bound is a regression wherever it shows.
 // Each call builds its own inputs; testing.AllocsPerRun skips one
 // warm-up call, so it reads a little below a single cold run.
@@ -25,9 +25,9 @@ func TestAllocationGates(t *testing.T) {
 		max   float64
 		route func() error
 	}{
-		{"levelb_nets100", 3280, routeLevelBNets100},
-		{"table2_ami33", 10888, routeTable2Ami33},
-		{"channelfree_ex3", 11767, routeChannelFreeEx3},
+		{"levelb_nets100", 2308, routeLevelBNets100},
+		{"table2_ami33", 9506, routeTable2Ami33},
+		{"channelfree_ex3", 9425, routeChannelFreeEx3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
