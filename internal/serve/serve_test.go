@@ -201,6 +201,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedGridFailsInvalid: an instance whose level B grid has
+// more points than grid.New accepts (one 4200 x 4200 cell at track
+// pitch 1 makes about 4201 x 4201) fails once as invalid input.
+func TestOversizedGridFailsInvalid(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	inst := []byte(`{"name": "oversized", "margin": 0, "m12_pitch": 1, "m34_pitch": 1,
+		"rows": [{"gap": 0, "cells": [{"name": "c", "w": 4200, "h": 4200}]}],
+		"nets": [{"name": "n", "class": "signal", "pins": [
+			{"cell": "c", "name": "a", "dx": 10, "side": "top"},
+			{"cell": "c", "name": "b", "dx": 20, "side": "top"}]}]}`)
+	code, st, raw := postRun(t, ts.URL, "?flow=channelfree&wait=1", inst)
+	if code != 200 || st.State != StateFailed || st.Attempts != 1 ||
+		!strings.Contains(st.Error, "exceed the limit") || !strings.Contains(st.Error, robust.ErrInvalidInput.Error()) {
+		t.Fatalf("oversized run = %d state %s attempts %d, want failed/1 as invalid input (%s)",
+			code, st.State, st.Attempts, raw)
+	}
+}
+
 // TestCancelRunningAndPending wires a blocking flow into the server:
 // one run occupies the single slot until canceled, the next queues as
 // pending; DELETE must cancel both deterministically.
