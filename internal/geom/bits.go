@@ -35,6 +35,13 @@ func (b Bits) Has(i int) bool {
 	return w < uint(len(b)) && b[w]&(1<<(uint(i)&63)) != 0
 }
 
+// Or adds every member of c, which must have no more words than b.
+func (b Bits) Or(c Bits) {
+	for i, w := range c {
+		b[i] |= w
+	}
+}
+
 // SetRange adds every integer of [lo, hi]; it does nothing when
 // lo > hi.
 func (b Bits) SetRange(lo, hi int) {

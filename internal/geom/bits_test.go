@@ -182,6 +182,34 @@ func TestBitsResetReuses(t *testing.T) {
 	}
 }
 
+// TestBitsOr checks Or against the union of two models, with the
+// added set as wide as the receiver or narrower.
+func TestBitsOr(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		m := 1 + rng.Intn(n)
+		b, c := make(Bits, BitsWords(n)), make(Bits, BitsWords(m))
+		want := make(bitsModel, n)
+		for k := rng.Intn(n); k > 0; k-- {
+			x := rng.Intn(n)
+			b.Set(x)
+			want[x] = true
+		}
+		for k := rng.Intn(m); k > 0; k-- {
+			x := rng.Intn(m)
+			c.Set(x)
+			want[x] = true
+		}
+		b.Or(c)
+		for x := -1; x <= n; x++ {
+			if b.Has(x) != want.in(x) {
+				t.Fatalf("trial %d: Or(%d bits into %d): Has(%d) = %v", trial, m, n, x, b.Has(x))
+			}
+		}
+	}
+}
+
 // The TestIntervalSet tests check Bits used as a set of closed
 // intervals, the way the grid's overlays use it: SetRange adds an
 // interval, ClearRange removes one, and the maximal runs of members
