@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestDensity(t *testing.T) {
 // scanDensity is the width × nets definition of Density: at each
 // column, count the nets whose span covers it.
 func scanDensity(p *Problem) int {
-	spans := p.spans()
+	spans := refSpans(p)
 	best := 0
 	for c := 0; c < p.Width(); c++ {
 		d := 0
@@ -357,20 +358,24 @@ func TestSolutionValidateCatchesBadGeometry(t *testing.T) {
 	}
 }
 
+// TestVCGEdges checks the vertical constraints LeftEdge and NetMerge
+// pack by: one edge per column with two different nets, from the top
+// net's item to the bottom net's.
 func TestVCGEdges(t *testing.T) {
 	p := &Problem{
-		Top:    []int{1, 2, 1},
-		Bottom: []int{2, 1, 0},
+		Top:    []int{1, 2, 1, 3},
+		Bottom: []int{2, 1, 0, 3},
 	}
-	edges := p.VCGEdges()
-	if len(edges) != 2 {
-		t.Fatalf("edges = %v, want 2 entries", edges)
+	w, err := wholeNetsOf(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := map[[2]int]bool{{1, 2}: true, {2, 1}: true}
-	for _, e := range edges {
-		if !want[e] {
-			t.Errorf("unexpected edge %v", e)
-		}
+	// Nets 1 and 2 are items 0 and 1; net 3 is a through vertical.
+	if want := [][2]int{{0, 1}, {1, 0}}; !reflect.DeepEqual(w.edges, want) {
+		t.Errorf("edges = %v, want %v", w.edges, want)
+	}
+	if want := []int{0, 1, -1}; !reflect.DeepEqual(w.itemOf, want) {
+		t.Errorf("itemOf = %v, want %v", w.itemOf, want)
 	}
 }
 

@@ -97,7 +97,7 @@ func Greedy(p *Problem) (*Solution, error) {
 	}
 	// Start with as many tracks as the density lower bound; the scan
 	// inserts more when needed.
-	for i, d := 0, p.Density(); i < d; i++ {
+	for i, d := 0, density(p.Width(), pinSpans(len(nets), pins)); i < d; i++ {
 		g.tracks = append(g.tracks, &trk{})
 	}
 	width := p.Width()

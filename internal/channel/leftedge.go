@@ -115,54 +115,70 @@ func segments(items []item, trackOf []int) []Segment {
 // honoured by the packing order. It fails when the vertical constraint
 // graph is cyclic — the classic limitation doglegs were invented for.
 func LeftEdge(p *Problem) (*Solution, error) {
-	nets, pins, err := p.pinNets()
+	w, err := wholeNetsOf(p)
 	if err != nil {
 		return nil, err
 	}
-	span := make([][2]int, len(nets))
-	for k := range span {
-		span[k][0] = -1
+	trackOf, tracks, err := packLEA(w.items, w.edges)
+	if err != nil {
+		return nil, err
 	}
-	for _, q := range pins {
-		if span[q.net][0] < 0 {
-			span[q.net][0] = q.col()
-		}
-		span[q.net][1] = q.col()
+	return w.solution(p, "left-edge", trackOf, tracks), nil
+}
+
+// wholeNets is a channel in the model of LeftEdge and NetMerge, where a
+// net takes one track from its leftmost pin to its rightmost. Each net
+// whose pins span columns is one item, in net order; a net whose pins
+// all sit in one column is routed as a straight vertical, and its
+// itemOf is -1. edges are the vertical constraints between items: at a
+// column whose top and bottom pins belong to different items, the top
+// one's item must lie above the bottom one's. An edge may repeat.
+type wholeNets struct {
+	nets   []int
+	pins   []pinRef
+	items  []item
+	itemOf []int
+	edges  [][2]int
+}
+
+func wholeNetsOf(p *Problem) (wholeNets, error) {
+	nets, pins, err := p.pinNets()
+	if err != nil {
+		return wholeNets{}, err
 	}
-	// Nets whose pins all sit in one column are routed as a straight
-	// vertical and get no item.
-	itemOf := make([]int, len(nets))
-	items := make([]item, 0, len(nets))
-	for k, sp := range span {
+	w := wholeNets{nets: nets, pins: pins,
+		items: make([]item, 0, len(nets)), itemOf: make([]int, len(nets))}
+	for k, sp := range pinSpans(len(nets), pins) {
 		if sp[0] == sp[1] {
-			itemOf[k] = -1
+			w.itemOf[k] = -1
 			continue
 		}
-		itemOf[k] = len(items)
-		items = append(items, item{net: nets[k], lo: sp[0], hi: sp[1]})
+		w.itemOf[k] = len(w.items)
+		w.items = append(w.items, item{net: nets[k], lo: sp[0], hi: sp[1]})
 	}
-	var edges [][2]int
 	for i := 1; i < len(pins); i++ {
-		t, b := itemOf[pins[i-1].net], itemOf[pins[i].net]
+		t, b := w.itemOf[pins[i-1].net], w.itemOf[pins[i].net]
 		if !facing(pins[i-1], pins[i]) || t == b || t < 0 || b < 0 {
 			continue // through-verticals take the whole column; no track ordering applies
 		}
-		edges = append(edges, [2]int{t, b})
+		w.edges = append(w.edges, [2]int{t, b})
 	}
-	trackOf, tracks, err := packLEA(items, edges)
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Tracks: tracks, Width: p.Width(), Algorithm: "left-edge",
-		Horizontals: segments(items, trackOf)}
-	emitPinVerticals(sol, nets, pins, func(i int, dst []int) []int {
-		if j := itemOf[pins[i].net]; j >= 0 {
+	return w, nil
+}
+
+// solution lays each item along its track and taps it from every pin
+// of its net.
+func (w wholeNets) solution(p *Problem, algorithm string, trackOf []int, tracks int) *Solution {
+	sol := &Solution{Tracks: tracks, Width: p.Width(), Algorithm: algorithm,
+		Horizontals: segments(w.items, trackOf)}
+	emitPinVerticals(sol, w.nets, w.pins, func(i int, dst []int) []int {
+		if j := w.itemOf[w.pins[i].net]; j >= 0 {
 			dst = append(dst, trackOf[j])
 		}
 		return dst
 	})
 	sortSolution(sol)
-	return sol, nil
+	return sol
 }
 
 // Dogleg routes the channel with the dogleg left-edge algorithm:

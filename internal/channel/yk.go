@@ -1,8 +1,11 @@
 package channel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"overcell/internal/geom"
 )
 
 // NetMerge routes the channel with the net-merging method of Yoshimura
@@ -10,276 +13,183 @@ import (
 // — the algorithm the paper's three-layer reference [1] builds on.
 // Nets are processed in left-edge order; a net whose span begins after
 // another group's span has ended may merge into that group (sharing
-// its track) provided the merge keeps the vertical constraint graph
-// acyclic; the merge chosen minimises the longest resulting constraint
-// chain, which bounds the track count. Tracks are the final merged
-// groups, ordered by a topological sort of the merged constraint
-// graph. Like LeftEdge, it refuses cyclic vertical constraints.
+// its track) provided neither reaches the other in the vertical
+// constraint graph; the merge chosen minimises the longest resulting
+// constraint chain, which bounds the track count, the least group
+// winning a tie. Tracks are the final merged groups, ordered by a
+// topological sort of the merged constraint graph.
+//
+// A merge of two groups that cannot reach each other neither makes nor
+// breaks a cycle, so NetMerge refuses cyclic vertical constraints, as
+// LeftEdge does, before it merges anything. Each net keeps one row of
+// bits for its successors and one for the nets it reaches, closed
+// transitively as groups merge, so a candidate's test and score cost
+// O(1); the chain lengths take one pass over a topological order per
+// merge.
 func NetMerge(p *Problem) (*Solution, error) {
-	netNums, pins, err := p.pinNets()
+	w, err := wholeNetsOf(p)
 	if err != nil {
 		return nil, err
 	}
-	spans := p.spans()
-	type net struct {
-		id     int
-		lo, hi int
+	items := w.items
+	n := len(items)
+	// Nets are named by item. succ[i] holds the items that item i's
+	// constraints put directly below it; a group's row is the union of
+	// its members' rows.
+	succ := bitRows(n)
+	for _, e := range w.edges {
+		succ[e[0]].Set(e[1])
 	}
-	var nets []net
-	var through []int
-	for id, sp := range spans {
-		if sp[0] == sp[1] {
-			through = append(through, id)
-			continue
-		}
-		nets = append(nets, net{id, sp[0], sp[1]})
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	sort.Slice(nets, func(i, j int) bool {
-		if nets[i].lo != nets[j].lo {
-			return nets[i].lo < nets[j].lo
+	order := kahn(all, succ)
+	if len(order) < n {
+		return nil, fmt.Errorf("channel: cyclic vertical constraints (net merging left %d nets unplaced)",
+			n-len(order))
+	}
+	// reach[g] holds the members of group g and of every group below
+	// it.
+	reach := bitRows(n)
+	for k := n - 1; k >= 0; k-- {
+		a := order[k]
+		reach[a].Set(a)
+		for b := succ[a].NextSet(0, n-1); b < n; b = succ[a].NextSet(b+1, n-1) {
+			reach[a].Or(reach[b])
 		}
-		return nets[i].id < nets[j].id
+	}
+
+	// group names each item's group by its first member. A net joins a
+	// group only when it is processed, as the group's newest member, so
+	// no chain of links forms. hi is each group's rightmost column.
+	group, hi := make([]int, n), make([]int, n)
+	for i, it := range items {
+		group[i], hi[i] = i, it.hi
+	}
+	// above[g] and below[g] are the longest constraint chains ending
+	// and starting at group g. A group reaches more items than any
+	// group below it, so sorting the groups by reach orders them from
+	// the top.
+	above, below, size := make([]int, n), make([]int, n), make([]int, n)
+	groups := make([]int, 0, n)
+	chains := func() {
+		groups = groups[:0]
+		for g := range n {
+			if group[g] == g {
+				groups = append(groups, g)
+				size[g], above[g] = reach[g].Count(0, n-1), 0
+			}
+		}
+		slices.SortFunc(groups, func(a, b int) int { return cmp.Compare(size[b], size[a]) })
+		for _, g := range groups {
+			for s := succ[g].NextSet(0, n-1); s < n; s = succ[g].NextSet(s+1, n-1) {
+				above[group[s]] = max(above[group[s]], above[g]+1)
+			}
+		}
+		for k := len(groups) - 1; k >= 0; k-- {
+			g := groups[k]
+			below[g] = 0
+			for s := succ[g].NextSet(0, n-1); s < n; s = succ[g].NextSet(s+1, n-1) {
+				below[g] = max(below[g], below[group[s]]+1)
+			}
+		}
+	}
+	chains()
+	slices.SortFunc(all, func(a, b int) int {
+		if c := cmp.Compare(items[a].lo, items[b].lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-
-	// Union-find over nets -> groups.
-	groupOf := map[int]int{} // net id -> group id (root net id)
-	var find func(int) int
-	find = func(x int) int {
-		for groupOf[x] != x {
-			groupOf[x] = groupOf[groupOf[x]]
-			x = groupOf[x]
-		}
-		return x
-	}
-	groupHi := map[int]int{} // group -> rightmost column
-	for _, n := range nets {
-		groupOf[n.id] = n.id
-		groupHi[n.id] = n.hi
-	}
-	isThrough := map[int]bool{}
-	for _, id := range through {
-		isThrough[id] = true
-	}
-
-	// Constraint edges between groups (through nets impose none).
-	succ := map[int]map[int]bool{}
-	addEdge := func(a, b int) {
-		if succ[a] == nil {
-			succ[a] = map[int]bool{}
-		}
-		succ[a][b] = true
-	}
-	for _, e := range p.VCGEdges() {
-		if isThrough[e[0]] || isThrough[e[1]] {
-			continue
-		}
-		addEdge(e[0], e[1])
-	}
-
-	// reaches reports whether a directed path exists from group a to
-	// group b in the current merged constraint graph.
-	reaches := func(a, b int) bool {
-		seen := map[int]bool{a: true}
-		stack := []int{a}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, s := range sortedKeys(succ[cur]) {
-				s = find(s)
-				if s == b {
-					return true
-				}
-				if !seen[s] {
-					seen[s] = true
-					stack = append(stack, s)
-				}
-			}
-		}
-		return false
-	}
-	// above and below are the longest constraint chains ending at and
-	// starting from a group; merging g and r yields a node whose chain
-	// is max(above(g)+below(r), above(r)+below(g)) — the quantity the
-	// merge heuristic minimises, since it lower-bounds the tracks.
-	above := func(g int) int { return chain(g, map[int]int{}, false, succ, find) }
-	below := func(g int) int { return chain(g, map[int]int{}, true, succ, find) }
-
-	mergeInto := func(g, r int) {
-		// Merge group r into group g: union the nodes and redirect
-		// edges lazily through find().
-		gr, rr := find(g), find(r)
-		groupOf[rr] = gr
-		if groupHi[rr] > groupHi[gr] {
-			groupHi[gr] = groupHi[rr]
-		}
-		// Fold successor sets so reachability walks stay linear.
-		if succ[rr] != nil {
-			if succ[gr] == nil {
-				succ[gr] = map[int]bool{}
-			}
-			for _, s := range sortedKeys(succ[rr]) {
-				succ[gr][s] = true
-			}
-			delete(succ, rr)
-		}
-		// Predecessor edges keep pointing at rr; find() resolves them.
-	}
-
-	for _, n := range nets {
-		r := find(n.id)
-		// Candidate groups whose span ended strictly before this net
-		// starts.
+	for _, r := range all {
+		// Candidates are the groups whose span ended before r starts
+		// (which leaves out r itself) and that neither reach r nor are
+		// reached from it. Merging g and r makes a group whose chain is
+		// max(above(g)+below(r), above(r)+below(g)).
 		best, bestScore := -1, 0
-		for _, m := range nets {
-			g := find(m.id)
-			if g == r || groupHi[g] >= n.lo {
+		for g := range n {
+			if group[g] != g || hi[g] >= items[r].lo || reach[g].Has(r) || reach[r].Has(g) {
 				continue
 			}
-			if reaches(g, r) || reaches(r, g) {
-				continue
-			}
-			score := above(g) + below(r)
-			if alt := above(r) + below(g); alt > score {
-				score = alt
-			}
-			if best < 0 || score < bestScore || (score == bestScore && g < best) {
+			if score := max(above[g]+below[r], above[r]+below[g]); best < 0 || score < bestScore {
 				best, bestScore = g, score
 			}
 		}
-		if best >= 0 {
-			mergeInto(best, r)
+		if best < 0 {
+			continue
 		}
+		group[r], hi[best] = best, max(hi[best], hi[r])
+		succ[best].Or(succ[r])
+		reach[best].Or(reach[r])
+		for g := range n {
+			if group[g] == g && g != best && (reach[g].Has(best) || reach[g].Has(r)) {
+				reach[g].Or(reach[best])
+			}
+		}
+		chains()
 	}
 
-	// Topological order of the merged groups = track order (top to
-	// bottom: constraint sources first).
-	groups := map[int]bool{}
-	for _, n := range nets {
-		groups[find(n.id)] = true
-	}
-	indeg := map[int]int{}
-	out := map[int]map[int]bool{}
-	for g := range groups {
-		indeg[g] += 0
-	}
-	for _, a := range sortedKeys(succ) {
-		ar := find(a)
-		for _, s := range sortedKeys(succ[a]) {
-			sr := find(s)
-			if ar == sr {
-				continue
-			}
-			if out[ar] == nil {
-				out[ar] = map[int]bool{}
-			}
-			if !out[ar][sr] {
-				out[ar][sr] = true
-				indeg[sr]++
+	// Tracks follow the groups in Kahn's order, the reach rows now
+	// holding each group's successor groups.
+	groups = groups[:0]
+	for g := range n {
+		if group[g] == g {
+			groups = append(groups, g)
+			clear(reach[g])
+			for s := succ[g].NextSet(0, n-1); s < n; s = succ[g].NextSet(s+1, n-1) {
+				reach[g].Set(group[s])
 			}
 		}
 	}
-	var order []int
-	var ready []int
-	for g := range groups {
-		if indeg[g] == 0 {
-			ready = append(ready, g)
-		}
+	trackOf := make([]int, n)
+	for t, g := range kahn(groups, reach) {
+		trackOf[g] = t
 	}
-	sort.Ints(ready)
-	for len(ready) > 0 {
-		g := ready[0]
-		ready = ready[1:]
-		order = append(order, g)
-		var next []int
-		for _, s := range sortedKeys(out[g]) {
-			indeg[s]--
-			if indeg[s] == 0 {
-				next = append(next, s)
-			}
-		}
-		ready = append(ready, next...)
+	for i := range trackOf {
+		trackOf[i] = trackOf[group[i]]
 	}
-	if len(order) != len(groups) {
-		return nil, fmt.Errorf("channel: cyclic vertical constraints (net merging left %d groups unplaced)",
-			len(groups)-len(order))
-	}
-	trackOfGroup := map[int]int{}
-	for i, g := range order {
-		trackOfGroup[g] = i
-	}
-
-	sol := &Solution{Tracks: len(order), Width: p.Width(), Algorithm: "net-merge"}
-	trackOfNet := map[int]int{}
-	for _, n := range nets {
-		tr := trackOfGroup[find(n.id)]
-		trackOfNet[n.id] = tr
-		sol.Horizontals = append(sol.Horizontals, Segment{Net: n.id, Track: tr, Lo: n.lo, Hi: n.hi})
-	}
-	emitPinVerticals(sol, netNums, pins, func(i int, dst []int) []int {
-		if tr, ok := trackOfNet[netNums[pins[i].net]]; ok {
-			dst = append(dst, tr)
-		}
-		return dst
-	})
-	sortSolution(sol)
-	return sol, nil
+	return w.solution(p, "net-merge", trackOf, len(groups)), nil
 }
 
-// chain computes the longest directed chain starting (fwd) or ending
-// (!fwd) at group g in the merged constraint graph. For the backward
-// direction the graph is walked via an inverted view built on demand;
-// graphs here are small (channel nets), so clarity wins over caching.
-func chain(g int, memo map[int]int, fwd bool, succ map[int]map[int]bool, find func(int) int) int {
-	g = find(g)
-	if v, ok := memo[g]; ok {
-		return v
-	}
-	memo[g] = 0 // cycle guard; real cycles are rejected later
-	best := 0
-	if fwd {
-		for s := range succ[g] {
-			sr := find(s)
-			if sr == g {
-				continue
-			}
-			if d := chain(sr, memo, fwd, succ, find) + 1; d > best {
-				best = d
-			}
+// kahn returns nodes in Kahn's topological order of the graph whose
+// node a has the successors in succ[a]: first the nodes without a
+// predecessor, in the order given, then each node's successors,
+// ascending, as their last predecessor is placed. Nodes on or below a
+// cycle are left out.
+func kahn(nodes []int, succ []geom.Bits) []int {
+	n := len(succ)
+	indeg := make([]int, n)
+	for _, a := range nodes {
+		for b := succ[a].NextSet(0, n-1); b < n; b = succ[a].NextSet(b+1, n-1) {
+			indeg[b]++
 		}
-	} else {
-		for a, ss := range succ {
-			ar := find(a)
-			if ar == g {
-				continue
-			}
-			hit := false
-			for s := range ss {
-				if find(s) == g {
-					hit = true
-					break
-				}
-			}
-			if hit {
-				if d := chain(ar, memo, fwd, succ, find) + 1; d > best {
-					best = d
-				}
+	}
+	order := make([]int, 0, len(nodes))
+	for _, a := range nodes {
+		if indeg[a] == 0 {
+			order = append(order, a)
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		a := order[k]
+		for b := succ[a].NextSet(0, n-1); b < n; b = succ[a].NextSet(b+1, n-1) {
+			if indeg[b]--; indeg[b] == 0 {
+				order = append(order, b)
 			}
 		}
 	}
-	memo[g] = best
-	return best
+	return order
 }
 
-// sortedKeys returns m's keys in increasing order. The merged
-// constraint graph is stored as map-of-sets; every walk over it ranges
-// through this helper so traversal order — and therefore any tie-break
-// the walk feeds — is deterministic by construction rather than by
-// argument about commutativity.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// bitRows returns n empty sets of the integers below n, one array
+// behind them all.
+func bitRows(n int) []geom.Bits {
+	w := geom.BitsWords(n)
+	words := make(geom.Bits, n*w)
+	rows := make([]geom.Bits, n)
+	for i := range rows {
+		rows[i] = words[i*w : (i+1)*w : (i+1)*w]
 	}
-	sort.Ints(keys)
-	return keys
+	return rows
 }

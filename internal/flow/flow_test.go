@@ -1,9 +1,12 @@
 package flow
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"overcell/internal/gen"
+	"overcell/internal/robust"
 )
 
 // runFlows executes the baseline and proposed flows on an instance and
@@ -171,13 +174,28 @@ func TestCustomPartitionPolicy(t *testing.T) {
 	}
 }
 
+// TestNetMergeChannelOption routes the two-layer baseline with net
+// merging ten times on each of two instances. The router may refuse a
+// cyclic channel, as an unroutable one, but every call must fail with
+// the first call's error text or succeed with its hash.
 func TestNetMergeChannelOption(t *testing.T) {
-	// The explicit net-merge router may refuse cyclic channels; on this
-	// instance it should either succeed fully or fail loudly — never
-	// produce invalid geometry.
-	_, err := TwoLayerBaseline(build(t, gen.Ami33Like), Options{Channel: NetMergeChannel})
-	if err != nil {
-		t.Logf("net-merge refused (cyclic constraints): %v", err)
+	for _, mk := range []func() (*gen.Instance, error){gen.Ami33Like, gen.Ex3Like} {
+		var first string
+		for call := 0; call < 10; call++ {
+			res, err := TwoLayerBaseline(build(t, mk), Options{Channel: NetMergeChannel})
+			got := fmt.Sprint(err)
+			if err == nil {
+				got = Hash(res)
+			} else if !errors.Is(err, robust.ErrUnroutable) {
+				t.Fatalf("net-merge refusal not typed unroutable: %v", err)
+			}
+			if call == 0 {
+				first = got
+				t.Logf("net merging: %s", got)
+			} else if got != first {
+				t.Fatalf("call %d: %s, first call %s", call, got, first)
+			}
+		}
 	}
 }
 
