@@ -12,11 +12,12 @@ import (
 // control flow picks tracks, paths, victims, or commit order. A `range`
 // over a map there makes the routing result depend on Go's randomized
 // iteration order, which breaks the reproducibility the paper's tables
-// assume (same seed, same area/wire-length/via counts). The obs
-// package is included because its collector summaries and trace
-// streams carry the same byte-identical guarantee (see
+// assume (same seed, same area/wire-length/via counts). The channel
+// routers are level A's half of those decisions. The obs package is
+// included because its collector summaries and trace streams carry the
+// same byte-identical guarantee (see
 // flow.TestProposedTraceDeterministic).
-var maporderScope = []string{"core", "tig", "maze", "steiner", "global", "grid", "obs"}
+var maporderScope = []string{"core", "tig", "maze", "steiner", "global", "grid", "obs", "channel"}
 
 // MapOrder flags `range` statements over map values inside the routing
 // decision packages unless the loop is provably order-insensitive:

@@ -103,7 +103,7 @@ func (s *Solution) Validate(p *Problem) error {
 
 func (s *Solution) checkDesignRules() error {
 	// Horizontal overlap per track.
-	byTrack := map[int][]Segment{}
+	byTrack := make([][]Segment, s.Tracks)
 	for _, h := range s.Horizontals {
 		if h.Lo > h.Hi {
 			return fmt.Errorf("channel: segment with Lo > Hi: %+v", h)
@@ -122,28 +122,28 @@ func (s *Solution) checkDesignRules() error {
 			}
 		}
 	}
-	// Vertical overlap per column.
-	byCol := map[int][]Vertical{}
+	// Vertical overlap per column, the columns in order.
 	for _, v := range s.Verticals {
 		if v.FromTrack > v.ToTrack {
 			return fmt.Errorf("channel: vertical with FromTrack > ToTrack: %+v", v)
 		}
-		byCol[v.Col] = append(byCol[v.Col], v)
 	}
-	for col, vs := range byCol {
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				a, b := vs[i], vs[j]
-				if a.Net == b.Net {
-					continue
-				}
-				// Treat edge touches as extending past the outermost track.
-				aLo, aHi := bounds(a, s.Tracks)
-				bLo, bHi := bounds(b, s.Tracks)
-				if aLo <= bHi && bLo <= aHi {
-					return fmt.Errorf("channel: column %d vertical overlap between nets %d and %d",
-						col, a.Net, b.Net)
-				}
+	byCol := append([]Vertical(nil), s.Verticals...)
+	sort.SliceStable(byCol, func(i, j int) bool { return byCol[i].Col < byCol[j].Col })
+	for i, a := range byCol {
+		for _, b := range byCol[i+1:] {
+			if b.Col != a.Col {
+				break
+			}
+			if a.Net == b.Net {
+				continue
+			}
+			// Treat edge touches as extending past the outermost track.
+			aLo, aHi := bounds(a, s.Tracks)
+			bLo, bHi := bounds(b, s.Tracks)
+			if aLo <= bHi && bLo <= aHi {
+				return fmt.Errorf("channel: column %d vertical overlap between nets %d and %d",
+					a.Col, a.Net, b.Net)
 			}
 		}
 	}
@@ -249,7 +249,8 @@ func (s *Solution) checkConnectivity(p *Problem) error {
 	}
 
 	// Every pin must attach to a vertical of its net touching its edge.
-	pinNode := map[[3]int]int{} // (col, side 0=top/1=bottom) -> union node
+	type pinNode struct{ net, node int }
+	var pinNodes []pinNode
 	for c := 0; c < p.Width(); c++ {
 		for side, net := range []int{p.Top[c], p.Bottom[c]} {
 			if net == 0 {
@@ -268,7 +269,7 @@ func (s *Solution) checkConnectivity(p *Problem) error {
 			if attached < 0 {
 				return fmt.Errorf("channel: pin of net %d at column %d (side %d) unconnected", net, c, side)
 			}
-			pinNode[[3]int{c, side, net}] = attached
+			pinNodes = append(pinNodes, pinNode{net, attached})
 		}
 	}
 	// All pieces of one net must be in one component.
@@ -291,8 +292,8 @@ func (s *Solution) checkConnectivity(p *Problem) error {
 			return err
 		}
 	}
-	for key, node := range pinNode {
-		if err := check(key[2], node); err != nil {
+	for _, pn := range pinNodes {
+		if err := check(pn.net, pn.node); err != nil {
 			return err
 		}
 	}
