@@ -39,8 +39,9 @@ type Assignment struct {
 	Feedthroughs   int
 	FeedthroughLen int
 	// NetFeedthroughLen attributes feedthrough wire length to channel
-	// net numbers, for per-net delay estimation.
-	NetFeedthroughLen map[int]int
+	// net numbers, for per-net delay estimation: a net's channel number
+	// is its ID plus one, and the slice runs to the largest.
+	NetFeedthroughLen []int
 }
 
 // Assign performs global routing for the given nets over the layout.
@@ -53,13 +54,22 @@ func Assign(l *floorplan.Layout, nets []Net) (*Assignment, error) {
 	nch := l.NumChannels()
 	if nch == 0 {
 		if len(nets) == 0 {
-			return &Assignment{ColPitch: l.Tech.M12Pitch, NetFeedthroughLen: map[int]int{}}, nil
+			return &Assignment{ColPitch: l.Tech.M12Pitch}, nil
 		}
 		return nil, robust.Invalidf("global: %d nets but the layout has no channels", len(nets))
 	}
+	// Deterministic net order.
+	ordered := append([]Net(nil), nets...)
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	pitch := l.Tech.M12Pitch
 	ncols := l.Width()/pitch + 1
-	a := &Assignment{ColPitch: pitch, NetFeedthroughLen: map[int]int{}}
+	a := &Assignment{ColPitch: pitch}
+	if len(ordered) > 0 {
+		if ordered[0].ID < 0 {
+			return nil, robust.Invalidf("global: net %q has negative ID %d", ordered[0].Name, ordered[0].ID)
+		}
+		a.NetFeedthroughLen = make([]int, int(ordered[len(ordered)-1].ID)+2)
+	}
 	for i := 0; i < nch; i++ {
 		a.Problems = append(a.Problems, &channel.Problem{
 			Top:    make([]int, ncols),
@@ -67,10 +77,6 @@ func Assign(l *floorplan.Layout, nets []Net) (*Assignment, error) {
 		})
 	}
 	ft := newFeedthroughs(l, pitch)
-
-	// Deterministic net order.
-	ordered := append([]Net(nil), nets...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 
 	for _, net := range ordered {
 		if err := assignNet(l, a, ft, net, ncols); err != nil {

@@ -1,11 +1,14 @@
 package global
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"overcell/internal/channel"
 	"overcell/internal/floorplan"
 	"overcell/internal/netlist"
+	"overcell/internal/robust"
 )
 
 // threeRowLayout builds rows r0, r1, r2 with one wide cell each and
@@ -84,6 +87,9 @@ func TestMultiChannelNetGetsFeedthrough(t *testing.T) {
 	if a.FeedthroughLen != 64 {
 		t.Errorf("feedthrough length = %d, want row height 64", a.FeedthroughLen)
 	}
+	if want := []int{0, 0, 0, 0, 64}; !reflect.DeepEqual(a.NetFeedthroughLen, want) {
+		t.Errorf("per-net feedthrough length = %v, want %v (net 4 only)", a.NetFeedthroughLen, want)
+	}
 	// Both channels must now have routable 2-pin problems for net 4.
 	for i := 0; i < 2; i++ {
 		if err := a.Problems[i].Validate(); err != nil {
@@ -102,6 +108,17 @@ func TestPinFacingNoChannelRejected(t *testing.T) {
 	place(t, l)
 	if _, err := Assign(l, []Net{{ID: 0, Pins: []*floorplan.Pin{p1, p2}}}); err == nil {
 		t.Error("pin facing outside accepted")
+	}
+}
+
+func TestNegativeNetIDRejected(t *testing.T) {
+	l, cells := threeRowLayout(t)
+	p1 := cells[0].AddPin("a", 16, floorplan.PinTop)
+	p2 := cells[1].AddPin("b", 120, floorplan.PinBottom)
+	place(t, l)
+	_, err := Assign(l, []Net{{ID: -2, Name: "n", Pins: []*floorplan.Pin{p1, p2}}})
+	if !errors.Is(err, robust.ErrInvalidInput) {
+		t.Errorf("negative net ID: err = %v, want invalid input", err)
 	}
 }
 
