@@ -118,17 +118,10 @@ func (s *Server) recoverFinished(st *journal.RunState) {
 		state: st.State, submitted: st.Accepted,
 		started: st.Started, finished: st.Finished, err: st.Error,
 		instHash: st.InstanceHash, resultHash: st.ResultHash,
-		attempts: st.Attempts, recovered: true,
+		attempts: st.Attempts, recovered: true, resRec: st.Result,
 		cancel: func() {}, done: done,
 		builder: span.NewBuilder(st.ID, nil),
 		stats:   metrics.NewTracer(nil),
-	}
-	if r := st.Result; r != nil {
-		ru.resRec = &RunResult{
-			Flow: r.Flow, Area: r.Area, Width: r.Width, Height: r.Height,
-			WireLength: r.WireLength, Vias: r.Vias, Degraded: r.Degraded,
-			LevelBNets: r.LevelBNets, Expanded: r.Expanded,
-		}
 	}
 	s.mu.Lock()
 	s.runs[ru.id] = ru
@@ -179,11 +172,7 @@ func (s *Server) requeue(st *journal.RunState) bool {
 	// watch the re-execution from its start.
 	s.attachTelemetry(ru)
 	s.mu.Unlock()
-	req := jobRequest{
-		Flow: st.Flow, DeadlineMS: st.Opts.DeadlineMS,
-		NetBudget: st.Opts.NetBudget, TotalBudget: st.Opts.TotalBudget,
-		Partial: st.Opts.Partial, HeatWin: st.Opts.HeatWin,
-	}
+	req := jobRequest{Flow: st.Flow, RunOpts: st.Opts}
 	s.recovered["requeued"].Inc()
 	s.log.Info("run requeued from journal",
 		"run_id", ru.id, "flow", st.Flow, "instance", st.Name,

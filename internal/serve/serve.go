@@ -350,14 +350,10 @@ func (s *Server) Handler() http.Handler {
 // instance). Query parameters of the same names (snake_case) override
 // body values.
 type jobRequest struct {
-	Flow        string          `json:"flow"`
-	Instance    json.RawMessage `json:"instance"`
-	DeadlineMS  int64           `json:"deadline_ms"`
-	NetBudget   int64           `json:"net_budget"`
-	TotalBudget int64           `json:"total_budget"`
-	Partial     bool            `json:"partial"`
-	HeatWin     int             `json:"heat_win"`
-	Wait        bool            `json:"wait"`
+	Flow     string          `json:"flow"`
+	Instance json.RawMessage `json:"instance"`
+	journal.RunOpts
+	Wait bool `json:"wait"`
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -487,11 +483,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Kind: journal.KindAccepted, Run: id, Time: ru.submitted,
 		Flow: req.Flow, Name: inst.Name,
 		Instance: json.RawMessage(canon), InstanceHash: instHash,
-		Opts: &journal.RunOpts{
-			DeadlineMS: req.DeadlineMS, NetBudget: req.NetBudget,
-			TotalBudget: req.TotalBudget, Partial: req.Partial,
-			HeatWin: req.HeatWin,
-		},
+		Opts: &req.RunOpts,
 	})
 	for _, eid := range evicted {
 		s.journalAppend(&journal.Record{
@@ -662,21 +654,11 @@ func terminalRecord(ru *run, state string) *journal.Record {
 			Attempts: ru.attempts,
 		}
 	}
-	rec := &journal.Record{
+	return &journal.Record{
 		Kind: journal.KindFinished, Run: ru.id, Time: ru.finished,
-		State: state, Error: ru.err, ResultHash: ru.resultHash,
+		State: state, Error: ru.err, Result: ru.resRec, ResultHash: ru.resultHash,
 		Attempts: ru.attempts,
 	}
-	if ru.resRec != nil {
-		rec.Result = &journal.ResultRecord{
-			Flow: ru.resRec.Flow, Area: ru.resRec.Area,
-			Width: ru.resRec.Width, Height: ru.resRec.Height,
-			WireLength: ru.resRec.WireLength, Vias: ru.resRec.Vias,
-			Degraded: ru.resRec.Degraded, LevelBNets: ru.resRec.LevelBNets,
-			Expanded: ru.resRec.Expanded,
-		}
-	}
-	return rec
 }
 
 // resultView projects a flow result into its JSON summary form; nil in,
@@ -742,18 +724,10 @@ func (s *Server) evictLocked() []string {
 	return dropped
 }
 
-// RunResult is the JSON view of a finished flow result.
-type RunResult struct {
-	Flow       string `json:"flow"`
-	Area       int64  `json:"area"`
-	Width      int    `json:"width"`
-	Height     int    `json:"height"`
-	WireLength int    `json:"wire_length"`
-	Vias       int    `json:"vias"`
-	Degraded   int    `json:"degraded,omitempty"`
-	LevelBNets int    `json:"level_b_nets,omitempty"`
-	Expanded   int    `json:"expanded,omitempty"`
-}
+// RunResult is the JSON view of a finished flow result: the summary
+// the journal keeps, so a run recovered after a restart serves the same
+// bytes.
+type RunResult = journal.ResultRecord
 
 // RunStatus is the JSON view of one run.
 type RunStatus struct {
