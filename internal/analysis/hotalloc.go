@@ -333,8 +333,8 @@ func checkBoxing(pass *framework.Pass, loops []*ast.BlockStmt, call *ast.CallExp
 				pt = s.Elem()
 			}
 		}
-		if !types.IsInterface(pt.Underlying()) {
-			continue
+		if _, generic := pt.(*types.TypeParam); generic || !types.IsInterface(pt.Underlying()) {
+			continue // a value passed at a type parameter is not boxed
 		}
 		at, ok := pass.TypesInfo.Types[arg]
 		if !ok || at.IsNil() || types.IsInterface(at.Type.Underlying()) {

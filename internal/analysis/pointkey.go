@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
+	"go/token"
 	"go/types"
 
 	"overcell/internal/analysis/framework"
@@ -23,7 +25,9 @@ var pointkeyScope = []string{"core", "tig", "maze", "steiner", "global", "grid",
 //  2. Non-constant narrowing conversions of integer (or float→int)
 //     values are flagged: truncating a coordinate or a flattened grid
 //     index wraps silently on large layouts and corrupts geometry far
-//     from the overflow site.
+//     from the overflow site. A conversion of x & C, for a constant C
+//     that the destination holds and that is not negative, carries its
+//     bound with it and is not flagged: the result lies in [0, C].
 var PointKey = &framework.Analyzer{
 	Name: "pointkey",
 	Doc: "flag float-keyed geometry maps and truncating coordinate conversions\n\n" +
@@ -109,11 +113,43 @@ func checkNarrowingConversion(pass *framework.Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	if narrows(src, dst) {
+	if narrows(src, dst) && !maskedToFit(pass, call.Args[0], dst) {
 		pass.Reportf(call.Pos(),
 			"conversion %s(%s) may truncate: %s does not fit %s; widen the destination or bound-check explicitly",
 			types.ExprString(call.Fun), types.ExprString(call.Args[0]), src, dst)
 	}
+}
+
+// maskedToFit reports whether e is x & C (or C & x) for an integer
+// constant C with 0 <= C and C representable in dst, so that e's value
+// is in [0, C] whatever x is.
+func maskedToFit(pass *framework.Pass, e ast.Expr, dst *types.Basic) bool {
+	be, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || be.Op != token.AND {
+		return false
+	}
+	for _, side := range []ast.Expr{be.X, be.Y} {
+		tv, ok := pass.TypesInfo.Types[side]
+		if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+			continue
+		}
+		if constant.Sign(tv.Value) >= 0 && representable(tv.Value, dst) {
+			return true
+		}
+	}
+	return false
+}
+
+// representable reports whether the integer constant v fits dst.
+func representable(v constant.Value, dst *types.Basic) bool {
+	w, ok := intWidth[dst.Kind()]
+	if !ok {
+		return false
+	}
+	if dst.Info()&types.IsUnsigned == 0 {
+		w-- // the sign bit
+	}
+	return constant.BitLen(v) <= w
 }
 
 func basicOf(t types.Type) (*types.Basic, bool) {

@@ -17,3 +17,13 @@ func flatten(col, row, w int) int32 {
 func snap(x float64) int {
 	return int(x) // want `conversion int\(x\) may truncate`
 }
+
+// pack masks with a constant wider than the destination: no bound.
+func pack(i int) int32 {
+	return int32(i & (1<<32 - 1)) // want `conversion int32\(.*\) may truncate`
+}
+
+// packSigned masks with a negative constant, which keeps the sign bits.
+func packSigned(i int) int32 {
+	return int32(i & -2) // want `conversion int32\(.*\) may truncate`
+}
