@@ -90,13 +90,13 @@ func GridASCII(g *grid.Grid, res *core.Result, step int) string {
 
 // TreeASCII renders a Path Selection Tree (Figure 2) as an indented
 // outline, one node per line in v_i/h_j naming.
-func TreeASCII(root *tig.Node) string {
+func TreeASCII(root tig.Node) string {
 	var b strings.Builder
-	var walk func(n *tig.Node, depth int)
-	walk = func(n *tig.Node, depth int) {
-		fmt.Fprintf(&b, "%s%s (enter @%d)\n", strings.Repeat("  ", depth), n.Track, n.Entry)
-		for _, c := range n.Children {
-			walk(c, depth+1)
+	var walk func(n tig.Node, depth int)
+	walk = func(n tig.Node, depth int) {
+		fmt.Fprintf(&b, "%s%s (enter @%d)\n", strings.Repeat("  ", depth), n.Track(), n.Entry())
+		for k := 0; k < n.NumChildren(); k++ {
+			walk(n.Child(k), depth+1)
 		}
 	}
 	walk(root, 0)

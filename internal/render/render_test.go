@@ -64,12 +64,19 @@ func TestGridASCII(t *testing.T) {
 }
 
 func TestTreeASCII(t *testing.T) {
-	root := &tig.Node{Track: tig.Track{Vertical: true, Index: 1}, Entry: 2}
-	child := &tig.Node{Track: tig.Track{Vertical: false, Index: 3}, Entry: 1, Parent: root}
-	root.Children = []*tig.Node{child}
-	out := TreeASCII(root)
-	if !strings.Contains(out, "v2 (enter @2)") || !strings.Contains(out, "  h4 (enter @1)") {
-		t.Errorf("tree rendering wrong:\n%s", out)
+	// On an empty 6x5 grid the search from v2 at row 2 enters every
+	// other row at column 1, and h4 completes to (c5,r3).
+	g, err := grid.Uniform(6, 5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := tig.Search(g, tig.Point{Col: 1, Row: 2}, tig.Point{Col: 5, Row: 3}, tig.Config{Starts: tig.StartVertical})
+	if !ok || len(res.Trees) != 1 {
+		t.Fatalf("search: ok %v, %d trees", ok, len(res.Trees))
+	}
+	want := "v2 (enter @2)\n  h1 (enter @1)\n  h2 (enter @1)\n  h4 (enter @1)\n  h5 (enter @1)\n"
+	if out := TreeASCII(res.Trees[0]); out != want {
+		t.Errorf("tree rendering:\n%s\nwant:\n%s", out, want)
 	}
 }
 

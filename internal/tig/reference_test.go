@@ -353,21 +353,22 @@ func checkExamineOnce(t *testing.T, name string, res *Result, to Point, relaxed 
 	t.Helper()
 	level := map[Track]int{}
 	nodes := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	var walk func(n Node)
+	walk = func(n Node) {
 		nodes++
-		target := n.Track.Vertical && n.Track.Index == to.Col || !n.Track.Vertical && n.Track.Index == to.Row
-		if prev, seen := level[n.Track]; seen && !target {
+		tr, lv := n.Track(), n.Level()
+		target := tr.Vertical && tr.Index == to.Col || !tr.Vertical && tr.Index == to.Row
+		if prev, seen := level[tr]; seen && !target {
 			if !relaxed {
-				t.Fatalf("%s: track %v entered twice, at levels %d and %d", name, n.Track, prev, n.Level)
+				t.Fatalf("%s: track %v entered twice, at levels %d and %d", name, tr, prev, lv)
 			}
-			if prev != n.Level {
-				t.Fatalf("%s: track %v entered at levels %d and %d", name, n.Track, prev, n.Level)
+			if prev != lv {
+				t.Fatalf("%s: track %v entered at levels %d and %d", name, tr, prev, lv)
 			}
 		}
-		level[n.Track] = n.Level
-		for _, c := range n.Children {
-			walk(c)
+		level[tr] = lv
+		for k := 0; k < n.NumChildren(); k++ {
+			walk(n.Child(k))
 		}
 	}
 	for _, root := range res.Trees {

@@ -22,6 +22,7 @@ package tig
 
 import (
 	"fmt"
+	"math"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
@@ -52,26 +53,59 @@ func (t Track) String() string {
 	return fmt.Sprintf("h%d", t.Index+1)
 }
 
-// Node is one vertex of a Path Selection Tree: a track reached by the
-// search, the position along the track where it was entered (the
-// corner shared with the parent's track, or the source terminal for a
-// root), and tree links.
+// Node is a read-only handle to one vertex of a Path Selection Tree:
+// a track reached by the search, the position along the track where it
+// was entered (the corner shared with the parent's track, or the source
+// terminal for a root), and its tree links. The tree itself lives in
+// the searcher's node arena, so a Node is valid exactly as long as the
+// Result it came from.
 type Node struct {
-	Track    Track
-	Entry    int // row index for vertical tracks, column index for horizontal
-	Level    int // number of corners consumed to enter this track
-	Parent   *Node
-	Children []*Node
+	a *nodeArena
+	i int
 }
+
+func (n Node) at() *node { return n.a.at(n.i) }
+
+// Track returns the node's track.
+func (n Node) Track() Track {
+	x := n.at()
+	return Track{Vertical: x.vertical, Index: int(x.index)}
+}
+
+// Entry returns the position along the track where it was entered: a
+// row index for a vertical track, a column index for a horizontal one.
+func (n Node) Entry() int { return int(n.at().entry) }
+
+// Level returns the number of corners consumed to enter the node's
+// track: its depth in the tree.
+func (n Node) Level() int {
+	l := 0
+	for x := n.at(); x.parent >= 0; x = n.a.at(int(x.parent)) {
+		l++
+	}
+	return l
+}
+
+// Parent returns the node's parent; ok is false for a root.
+func (n Node) Parent() (p Node, ok bool) {
+	x := n.at()
+	if x.parent < 0 {
+		return Node{}, false
+	}
+	return Node{n.a, int(x.parent)}, true
+}
+
+// NumChildren returns the number of tracks the search entered from
+// this node's track.
+func (n Node) NumChildren() int { return int(n.at().count) }
+
+// Child returns the k-th child, in the order the search created them,
+// for 0 <= k < NumChildren.
+func (n Node) Child(k int) Node { return Node{n.a, int(n.at().first) + k} }
 
 // Corner returns the grid point where the node's track was entered.
 // For a root node this is the source terminal itself.
-func (n *Node) Corner() Point {
-	if n.Track.Vertical {
-		return Point{Col: n.Track.Index, Row: n.Entry}
-	}
-	return Point{Col: n.Entry, Row: n.Track.Index}
-}
+func (n Node) Corner() Point { return n.at().corner() }
 
 // Path is one candidate realisation of a two-terminal connection:
 // the source terminal, the corner sequence, and the target terminal,
@@ -202,9 +236,9 @@ type Result struct {
 	// Corners is that minimum count.
 	Corners int
 	// Trees are the Path Selection Trees: one root per MBFS start
-	// track (at most two). Retained for cost evaluation and for the
-	// Figure 2 rendering.
-	Trees []*Node
+	// track (at most two). Retained for the Figure 2 rendering and the
+	// tests of the visit rule.
+	Trees []Node
 	// Expanded counts search-tree nodes created, for the complexity
 	// benchmarks.
 	Expanded int
@@ -245,20 +279,23 @@ func NewSearcher() *Searcher { return &Searcher{} }
 
 // Search runs one MBFS on the searcher's reusable scratch memory.
 // Semantics are identical to the package-level Search with one
-// lifetime caveat: the returned Result (its Paths, their Points, and
-// Trees) aliases the searcher's arenas and is only valid until the
-// next call to Search on the same Searcher. The level-B router
-// consumes each result before issuing the next search; callers that
-// retain results across searches must use the package-level Search.
+// lifetime caveat: the returned Result, its Paths and their Points, and
+// the trees its Nodes reach all belong to the searcher and are only
+// valid until the next call to Search on the same Searcher. The level-B
+// router consumes each result before issuing the next search; callers
+// that retain results across searches must use the package-level
+// Search.
 func (st *Searcher) Search(g *grid.Grid, from, to Point, cfg Config) (*Result, bool) {
 	if from == to {
-		return &Result{Paths: []Path{{Points: []Point{from}}}}, true
+		st.res = Result{Paths: []Path{{Points: []Point{from}}}}
+		return &st.res, true
 	}
 	// One liveness poll per search: Charge amortises context/clock
 	// polling over pollStride expansions, so a search smaller than the
 	// stride would otherwise never observe cancellation.
 	if err := cfg.Budget.Err(); err != nil {
-		return &Result{Err: err}, false
+		st.res = Result{Err: err}
+		return &st.res, false
 	}
 	cb := cfg.ColBounds
 	rb := cfg.RowBounds
@@ -290,28 +327,14 @@ func (st *Searcher) Search(g *grid.Grid, from, to Point, cfg Config) (*Result, b
 	// Two MBFS runs from the same terminal: one starting on its
 	// vertical track, one on its horizontal track (paper section 3.1).
 	if cfg.Starts == StartBoth || cfg.Starts == StartVertical {
-		st.roots = append(st.roots, st.arena.alloc(Track{Vertical: true, Index: from.Col}, from.Row, 0, nil))
+		st.root(true, from.Col, from.Row)
 	}
 	if cfg.Starts == StartBoth || cfg.Starts == StartHorizontal {
-		st.roots = append(st.roots, st.arena.alloc(Track{Vertical: false, Index: from.Row}, from.Col, 0, nil))
+		st.root(false, from.Row, from.Col)
 	}
-	for _, root := range st.roots {
-		st.mark(root.Track)
-	}
-	st.frontier = append(st.frontier[:0], st.roots...)
-	res := &Result{Trees: st.roots}
+	res := &st.res
+	*res = Result{Trees: st.roots}
 	tr := obs.OrNop(cfg.Tracer)
-	finish := func(found bool) {
-		res.Expanded = st.expanded
-		res.Pruned = st.pruned
-		if tr.Enabled() {
-			tr.Emit(obs.Event{
-				Type: obs.EvMBFS, Levels: res.Levels, Expanded: res.Expanded,
-				Pruned: res.Pruned, Paths: len(res.Paths), Corners: res.Corners,
-				Failed: !found,
-			})
-		}
-	}
 	for level := 0; len(st.frontier) > 0 && level <= maxCorners; level++ {
 		res.Levels = level
 		st.done = st.done[:0]
@@ -326,7 +349,7 @@ func (st *Searcher) Search(g *grid.Grid, from, to Point, cfg Config) (*Result, b
 		if len(st.done) > 0 {
 			res.Paths = st.done
 			res.Corners = st.done[0].Corners()
-			finish(true)
+			st.finish(tr, true)
 			return res, true
 		}
 		if st.relaxed {
@@ -342,19 +365,44 @@ func (st *Searcher) Search(g *grid.Grid, from, to Point, cfg Config) (*Result, b
 		}
 		if st.err != nil {
 			res.Err = st.err
-			finish(false)
+			st.finish(tr, false)
 			return res, false
 		}
 		st.frontier, st.next = st.next, st.frontier
 	}
-	finish(false)
+	st.finish(tr, false)
 	return res, false
 }
 
-// Searcher owns the reusable scratch of an MBFS: the path-selection-
-// tree node arena, the per-direction track bitsets of the visit rule,
-// the frontier queues, and the path reconstruction buffers. A Searcher
-// is not safe for concurrent use; the router keeps one per Route call.
+// root starts one MBFS on the source terminal's track of the given
+// direction.
+func (st *Searcher) root(vertical bool, index, entry int) {
+	i := st.arena.alloc(node{index: track32(index), entry: track32(entry), parent: -1, vertical: vertical})
+	st.roots = append(st.roots, Node{&st.arena, int(i)})
+	st.frontier = append(st.frontier, i)
+	st.mark(vertical, index)
+}
+
+// finish records the search's counters in its result and emits its
+// EvMBFS event.
+func (st *Searcher) finish(tr obs.Tracer, found bool) {
+	res := &st.res
+	res.Expanded = st.expanded
+	res.Pruned = st.pruned
+	if tr.Enabled() {
+		tr.Emit(obs.Event{
+			Type: obs.EvMBFS, Levels: res.Levels, Expanded: res.Expanded,
+			Pruned: res.Pruned, Paths: len(res.Paths), Corners: res.Corners,
+			Failed: !found,
+		})
+	}
+}
+
+// Searcher owns the reusable scratch of an MBFS: the result, the
+// path-selection-tree node arena, the per-direction track bitsets of
+// the visit rule, the frontier queues, and the path reconstruction
+// buffers. A Searcher is not safe for concurrent use; the router keeps
+// one per Route call.
 type Searcher struct {
 	// Per-call search view.
 	g        *grid.Grid
@@ -368,6 +416,7 @@ type Searcher struct {
 	err      error // first budget/cancellation error; stops the search
 
 	// Reusable scratch, reset by prepare.
+	res   Result
 	arena nodeArena
 	// closedV and closedH hold the tracks the visit rule refuses at
 	// the level being expanded, one bit per vertical or horizontal
@@ -375,11 +424,11 @@ type Searcher struct {
 	// or seenH and closes when the next level starts.
 	closedV, closedH geom.Bits
 	seenV, seenH     geom.Bits
-	roots            []*Node
-	frontier         []*Node
-	next             []*Node
+	roots            []Node
+	frontier         []int32 // arena indices of the level being searched
+	next             []int32
 	done             []Path
-	chain            []*Node
+	chain            []int32
 	pts              []Point // path-point arena; each reconstructed path is a capped window
 }
 
@@ -402,98 +451,126 @@ func (st *Searcher) prepare(nx, ny int) {
 	st.err = nil
 }
 
-// arenaChunk is the node count per arena block. Blocks are kept and
-// reused across searches; pointers into them stay stable because a
-// block is never reallocated, only re-stamped.
-const arenaChunk = 256
-
-// nodeArena hands out tree nodes from reusable fixed-size blocks.
-type nodeArena struct {
-	chunks [][]Node
-	ci, ni int // next free slot: chunks[ci][ni]
+// node is one arena slot of a Path Selection Tree. It holds no
+// pointer, so the arena's chunks cost the garbage collector nothing to
+// scan, and it packs into 24 bytes. A node's children are created one
+// after another while it is expanded, so they are the consecutive
+// slots first .. first+count-1.
+type node struct {
+	index, entry int32 // track index and entry position; see trackMask
+	parent       int32 // arena index of the parent; -1 for a root
+	first, count int32 // the children's arena slots
+	vertical     bool
 }
 
-func (a *nodeArena) reset() { a.ci, a.ni = 0, 0 }
+func (x *node) corner() Point {
+	if x.vertical {
+		return Point{Col: int(x.index), Row: int(x.entry)}
+	}
+	return Point{Col: int(x.entry), Row: int(x.index)}
+}
 
-// alloc returns a node initialised to the given fields. The node's
-// Children backing from a previous search is retained (truncated), so
-// steady-state child appends do not allocate.
+// trackMask bounds the track indices and entry positions a node
+// stores in 32 bits. grid.New caps a grid at 1<<24 points, so every
+// track index lies below 1<<24 and the mask changes none of them.
+const trackMask = 1<<24 - 1
+
+func track32(i int) int32 { return int32(i & trackMask) }
+
+// maxNodes is the most nodes one search may create: arena indices are
+// 32-bit. A search about to pass it stops with errTreeFull.
+const maxNodes = math.MaxInt32
+
+var errTreeFull = fmt.Errorf("tig: search tree would exceed %d nodes: %w", maxNodes, robust.ErrBudgetExhausted)
+
+// chunkBits sets the arena's chunk size, 1<<chunkBits nodes (6 KiB).
+const chunkBits = 8
+
+// nodeArena hands out tree nodes from fixed-size chunks. The chunks
+// are kept and reused across searches; a chunk is never reallocated,
+// so a growing tree copies nothing.
+type nodeArena struct {
+	chunks [][]node
+	n      int32 // slots in use
+}
+
+func (a *nodeArena) reset() { a.n = 0 }
+
+func (a *nodeArena) at(i int) *node { return &a.chunks[i>>chunkBits][i&(1<<chunkBits-1)] }
+
+// alloc stores x in the next free slot and returns its index. The
+// caller keeps the count below maxNodes.
 //
 //oc:hotpath
-func (a *nodeArena) alloc(t Track, entry, level int, parent *Node) *Node {
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Node, arenaChunk))
+func (a *nodeArena) alloc(x node) int32 {
+	i := a.n
+	if int(i)>>chunkBits == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]node, 1<<chunkBits))
 	}
-	n := &a.chunks[a.ci][a.ni]
-	a.ni++
-	if a.ni == arenaChunk {
-		a.ci++
-		a.ni = 0
-	}
-	ch := n.Children[:0]
-	*n = Node{Track: t, Entry: entry, Level: level, Parent: parent, Children: ch}
-	return n
+	*a.at(int(i)) = x
+	a.n++
+	return i
 }
 
-// span returns the maximal clear run of n's track around its entry
+// span returns the maximal clear run of x's track around its entry
 // point, clipped to the search window. ok is false when the entry
 // itself is blocked (cannot happen for well-formed searches, but a
 // root on a blocked terminal degrades to an empty search rather than
 // a panic).
-func (st *Searcher) span(n *Node) (geom.Interval, bool) {
-	if n.Track.Vertical {
-		return st.g.VClearSpan(n.Track.Index, n.Entry, st.rb)
+func (st *Searcher) span(x *node) (geom.Interval, bool) {
+	if x.vertical {
+		return st.g.VClearSpan(int(x.index), int(x.entry), st.rb)
 	}
-	return st.g.HClearSpan(n.Track.Index, n.Entry, st.cb)
+	return st.g.HClearSpan(int(x.index), int(x.entry), st.cb)
 }
 
-// complete reports whether n's track runs straight to the target
+// complete reports whether node i's track runs straight to the target
 // terminal, and if so reconstructs the full path.
-func (st *Searcher) complete(n *Node, from Point) (Path, bool) {
-	if n.Track.Vertical {
-		if n.Track.Index != st.to.Col {
+func (st *Searcher) complete(i int32, from Point) (Path, bool) {
+	x := st.arena.at(int(i))
+	pos := st.to.Col
+	if x.vertical {
+		if int(x.index) != st.to.Col {
 			return Path{}, false
 		}
-	} else if n.Track.Index != st.to.Row {
+		pos = st.to.Row
+	} else if int(x.index) != st.to.Row {
 		return Path{}, false
 	}
-	span, ok := st.span(n)
-	if !ok {
+	span, ok := st.span(x)
+	if !ok || !span.Contains(pos) {
 		return Path{}, false
 	}
-	pos := st.to.Row
-	if !n.Track.Vertical {
-		pos = st.to.Col
-	}
-	if !span.Contains(pos) {
-		return Path{}, false
-	}
-	return st.reconstruct(n, from, st.to), true
+	return st.reconstruct(i, from, st.to), true
 }
 
-// expand creates the children of n: every perpendicular track crossing
-// n's clear span at a usable intersection, subject to the visit rule.
-// The rule is a bit test and refuses most candidates, so it runs first:
-// the scan jumps from one open track to the next a word at a time, and
-// the refusals it skips are counted per span by popcount. Only an open
-// track pays for the usability probe, a point test at its corner, and
-// only a usable one is marked.
-// Children are appended to the next-level frontier and charged against
-// the search budget; once the budget trips, expansion stops producing
-// work.
+// expand creates the children of node i: every perpendicular track
+// crossing its clear span at a usable intersection, subject to the
+// visit rule. The rule is a bit test and refuses most candidates, so it
+// runs first: the scan jumps from one open track to the next a word at
+// a time, and the refusals it skips are counted per span by popcount.
+// Only an open track pays for the usability probe, a point test at its
+// corner, and only a usable one is marked.
+// Children are appended to the arena and the next-level frontier and
+// charged against the search budget; once the budget trips, expansion
+// stops producing work.
 //
 //oc:hotpath
-func (st *Searcher) expand(n *Node) {
+func (st *Searcher) expand(i int32) {
 	if st.err != nil {
 		return
 	}
-	span, ok := st.span(n)
+	x := *st.arena.at(int(i))
+	span, ok := st.span(&x)
 	if !ok {
 		return
 	}
-	level := n.Level + 1
-	entry := n.Track.Index
-	vertical := !n.Track.Vertical
+	if int(st.arena.n)+span.Len() > maxNodes {
+		st.err = errTreeFull
+		return
+	}
+	entry := int(x.index)
+	vertical := !x.vertical
 	closed := st.closedH
 	if vertical {
 		closed = st.closedV
@@ -503,15 +580,15 @@ func (st *Searcher) expand(n *Node) {
 	// The strict rule closes tracks during the scan, but only behind it,
 	// so counting before the scan counts what the scan refuses.
 	st.pruned += closed.Count(span.Lo, span.Hi)
-	if closed.Has(n.Entry) {
+	if closed.Has(int(x.entry)) {
 		st.pruned--
 	}
-	added := 0
+	first := st.arena.n
 	for q := closed.NextClear(span.Lo, span.Hi); q <= span.Hi; q = closed.NextClear(q+1, span.Hi) {
-		if q == n.Entry {
+		if q == int(x.entry) {
 			continue // zero-length run: a corner on top of the previous one
 		}
-		// Corner at the intersection of n's track with track q: n's
+		// Corner at the intersection of x's track with track q: x's
 		// layer is clear along the span, and the point test adds q's.
 		col, row := q, entry
 		if !vertical {
@@ -520,15 +597,16 @@ func (st *Searcher) expand(n *Node) {
 		if !st.g.PointFree(col, row) {
 			continue
 		}
-		child := Track{Vertical: vertical, Index: q}
-		st.mark(child)
-		c := st.arena.alloc(child, entry, level, n)
-		n.Children = append(n.Children, c)
-		st.next = append(st.next, c)
-		st.expanded++
-		added++
+		st.mark(vertical, q)
+		st.next = append(st.next, st.arena.alloc(node{index: track32(q), entry: x.index, parent: i, vertical: vertical}))
 	}
-	if err := st.budget.Charge(added); err != nil {
+	added := st.arena.n - first
+	if added > 0 {
+		p := st.arena.at(int(i))
+		p.first, p.count = first, added
+	}
+	st.expanded += int(added)
+	if err := st.budget.Charge(int(added)); err != nil {
 		st.err = err
 	}
 }
@@ -542,19 +620,19 @@ func (st *Searcher) expand(n *Node) {
 // still enter it. expand marks a track after its intersection proves
 // usable, so a track met so far only at blocked intersections stays
 // open to a later parent.
-func (st *Searcher) mark(t Track) {
-	if t.Vertical && t.Index == st.to.Col || !t.Vertical && t.Index == st.to.Row {
+func (st *Searcher) mark(vertical bool, index int) {
+	if vertical && index == st.to.Col || !vertical && index == st.to.Row {
 		return
 	}
 	switch {
-	case t.Vertical && st.relaxed:
-		st.seenV.Set(t.Index)
-	case t.Vertical:
-		st.closedV.Set(t.Index)
+	case vertical && st.relaxed:
+		st.seenV.Set(index)
+	case vertical:
+		st.closedV.Set(index)
 	case st.relaxed:
-		st.seenH.Set(t.Index)
+		st.seenH.Set(index)
 	default:
-		st.closedH.Set(t.Index)
+		st.closedH.Set(index)
 	}
 }
 
@@ -567,15 +645,15 @@ func (st *Searcher) mark(t Track) {
 // callers by construction (appending to it forces a copy).
 //
 //oc:hotpath
-func (st *Searcher) reconstruct(n *Node, from, to Point) Path {
+func (st *Searcher) reconstruct(i int32, from, to Point) Path {
 	st.chain = st.chain[:0]
-	for c := n; c != nil; c = c.Parent {
+	for c := i; c >= 0; c = st.arena.at(int(c)).parent {
 		st.chain = append(st.chain, c)
 	}
 	start := len(st.pts)
 	st.pts = append(st.pts, from)
-	for i := len(st.chain) - 2; i >= 0; i-- { // skip root: its corner is the terminal
-		st.pts = append(st.pts, st.chain[i].Corner())
+	for k := len(st.chain) - 2; k >= 0; k-- { // skip root: its corner is the terminal
+		st.pts = append(st.pts, st.arena.at(int(st.chain[k])).corner())
 	}
 	st.pts = append(st.pts, to)
 	// Dedupe consecutive duplicates in place within the window.

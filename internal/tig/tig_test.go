@@ -232,7 +232,7 @@ func TestPathSelectionTreesRecorded(t *testing.T) {
 	if len(res.Trees) != 2 {
 		t.Fatalf("want 2 path selection trees (one per MBFS start), got %d", len(res.Trees))
 	}
-	if !res.Trees[0].Track.Vertical || res.Trees[1].Track.Vertical {
+	if !res.Trees[0].Track().Vertical || res.Trees[1].Track().Vertical {
 		t.Error("tree roots must be the source vertical then horizontal track")
 	}
 	if res.Trees[0].Corner() != (Point{2, 2}) {
@@ -355,10 +355,10 @@ func TestStartsRestriction(t *testing.T) {
 	if !okV || !okH {
 		t.Fatal("restricted searches failed")
 	}
-	if len(rv.Trees) != 1 || !rv.Trees[0].Track.Vertical {
+	if len(rv.Trees) != 1 || !rv.Trees[0].Track().Vertical {
 		t.Error("vertical start built wrong tree set")
 	}
-	if len(rh.Trees) != 1 || rh.Trees[0].Track.Vertical {
+	if len(rh.Trees) != 1 || rh.Trees[0].Track().Vertical {
 		t.Error("horizontal start built wrong tree set")
 	}
 	// Each restricted search finds the L through its own first leg.
