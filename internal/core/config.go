@@ -16,6 +16,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"overcell/internal/netlist"
 	"overcell/internal/obs"
 	"overcell/internal/robust"
@@ -188,35 +191,27 @@ func (c *Config) expansions() []int {
 	return c.Expansions
 }
 
-// orderNets returns the nets in routing order without mutating the
-// input slice.
-func orderNets(nets []*netlist.Net, o Order) []*netlist.Net {
-	out := append([]*netlist.Net(nil), nets...)
+// orderNets returns the positions in nets of the nets in routing
+// order, without mutating nets.
+func orderNets(nets []*netlist.Net, o Order) []int {
+	order := make([]int, len(nets))
+	for i := range order {
+		order[i] = i
+	}
+	longest := func(i, j int) int { return netlist.ByHalfPerimeter(nets[i], nets[j]) }
 	switch o {
 	case LongestFirst:
-		netlist.SortByHalfPerimeter(out)
+		slices.SortStableFunc(order, longest)
 	case ShortestFirst:
-		netlist.SortByHalfPerimeter(out)
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
+		slices.SortStableFunc(order, longest)
+		slices.Reverse(order)
 	case CriticalityFirst:
-		// Stable sort by descending criticality; equal criticality
-		// falls back to longest-first.
-		netlist.SortByHalfPerimeter(out)
-		stableSortByCriticality(out)
+		// Descending criticality; equal criticality keeps the
+		// longest-first order.
+		slices.SortStableFunc(order, longest)
+		slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(nets[j].Criticality, nets[i].Criticality) })
 	case InputOrder:
 		// keep as given
 	}
-	return out
-}
-
-func stableSortByCriticality(nets []*netlist.Net) {
-	// Insertion sort keeps the pre-established longest-first order
-	// within equal-criticality groups.
-	for i := 1; i < len(nets); i++ {
-		for j := i; j > 0 && nets[j].Criticality > nets[j-1].Criticality; j-- {
-			nets[j], nets[j-1] = nets[j-1], nets[j]
-		}
-	}
+	return order
 }

@@ -76,14 +76,15 @@ func TestOrderNetsStability(t *testing.T) {
 	// Two nets with identical half-perimeter: ID order must break the tie.
 	nl.AddPoints("first", netlist.Signal, geom.Pt(0, 0), geom.Pt(10, 10))
 	nl.AddPoints("second", netlist.Signal, geom.Pt(5, 5), geom.Pt(15, 15))
-	out := orderNets(nl.Nets(), LongestFirst)
-	if out[0].Name != "first" || out[1].Name != "second" {
-		t.Errorf("tie not broken by ID: %s, %s", out[0].Name, out[1].Name)
+	nets := nl.Nets()
+	out := orderNets(nets, LongestFirst)
+	if nets[out[0]].Name != "first" || nets[out[1]].Name != "second" {
+		t.Errorf("tie not broken by ID: %s, %s", nets[out[0]].Name, nets[out[1]].Name)
 	}
 	// Criticality dominates within the ordering.
 	nl.Net(1).Criticality = 3
-	out = orderNets(nl.Nets(), CriticalityFirst)
-	if out[0].Name != "second" {
-		t.Errorf("criticality not honoured: %s first", out[0].Name)
+	out = orderNets(nets, CriticalityFirst)
+	if nets[out[0]].Name != "second" {
+		t.Errorf("criticality not honoured: %s first", nets[out[0]].Name)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"overcell/internal/grid"
 	"overcell/internal/netlist"
 	"overcell/internal/robust"
-	"overcell/internal/tig"
 )
 
 // deadAliveNetlist builds the walled instance of
@@ -80,10 +79,10 @@ func TestRetryWithRipupNoTerminals(t *testing.T) {
 	r := New(g, DefaultConfig())
 	nl := netlist.New()
 	nl.AddPoints("empty", netlist.Signal)
-	net := nl.Nets()[0]
+	routes := []NetRoute{{Net: nl.Nets()[0]}}
 	// A net that snapped to no terminals has no congestion window to
 	// free; the retry must decline rather than panic.
-	if r.retryWithRipup(net, nl.Nets(), map[netlist.NetID][]tig.Point{}, nil, nil, nil, nil) {
+	if r.retryWithRipup(0, routes, &Result{}) {
 		t.Error("retryWithRipup claimed success for a net with no terminals")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"overcell/internal/geom"
@@ -77,6 +78,15 @@ type Router struct {
 	// because connect/selectBest/addPath consume each result fully
 	// before the next search starts.
 	search *tig.Searcher
+	// work is the shape of the net being routed, reused from net to
+	// net, and left its scratch for the modified Prim loop.
+	work shape
+	left []tig.Point
+	// segs and vias back the Segments and Vias of every net the router
+	// routes: a net's are carved from them when it completes. Carving
+	// only appends, so results of earlier Route calls stay intact.
+	segs []Segment
+	vias []tig.Point
 }
 
 // New returns a router over g.
@@ -99,34 +109,30 @@ func New(g *grid.Grid, cfg Config) *Router {
 // per-net budget exhaustion) are reported in the Result and do not
 // abort the run.
 func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
-	termPts, err := r.snapTerminals(nets)
+	// Terminals block both layers (their via stacks) and feed the
+	// unrouted-terminal proximity term of the cost function, so every
+	// one is registered before any routing.
+	terms, err := r.snapTerminals(nets)
 	if err != nil {
 		return nil, err
 	}
-	// Register every terminal before any routing: terminals block both
-	// layers (their via stacks) and feed the unrouted-terminal
-	// proximity term of the cost function.
-	for _, net := range nets {
-		for _, p := range termPts[net.ID] {
-			r.g.MarkTerminal(p.Col, p.Row)
-		}
+	// routes holds every net's state by routing rank: routes[k] is the
+	// net of 1-based rank k+1.
+	order := orderNets(nets, r.cfg.Order)
+	routes := make([]NetRoute, len(order))
+	for k, i := range order {
+		routes[k] = NetRoute{Net: nets[i], Terminals: terms[i]}
 	}
 	res := &Result{}
-	ordered := orderNets(nets, r.cfg.Order)
-	ranks := make(map[netlist.NetID]int, len(ordered))
-	for i, net := range ordered {
-		ranks[net.ID] = i + 1
-	}
-	routes := make(map[netlist.NetID]*NetRoute, len(nets))
-	shapes := make(map[netlist.NetID]*shape, len(nets))
-	sticky := r.routeAllSerial(ordered, termPts, routes, shapes, res)
+	sticky := r.routeAllSerial(routes, res)
 	if sticky == nil {
-		r.recover(ordered, termPts, ranks, routes, shapes, res)
+		r.recover(routes, res)
 		sticky = r.cfg.Budget.Err() // a trip during recovery still surfaces
 	}
-	for _, net := range ordered {
-		nr := routes[net.ID]
-		res.Routes = append(res.Routes, nr)
+	res.Routes = make([]*NetRoute, len(routes))
+	for k := range routes {
+		nr := &routes[k]
+		res.Routes[k] = nr
 		res.WireLength += nr.WireLength
 		res.Vias += len(nr.Vias)
 		res.Corners += nr.Corners
@@ -142,19 +148,15 @@ func (r *Router) Route(nets []*netlist.Net) (*Result, error) {
 
 // routeAllSerial is the first pass: one net at a time in routing order,
 // the paper's serial level B loop.
-func (r *Router) routeAllSerial(ordered []*netlist.Net,
-	termPts map[netlist.NetID][]tig.Point,
-	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
-	res *Result) error {
+func (r *Router) routeAllSerial(routes []NetRoute, res *Result) error {
 	var sticky error
-	for rank, net := range ordered {
+	for k := range routes {
+		nr := &routes[k]
 		if sticky = r.pollSticky(sticky); sticky != nil {
-			routes[net.ID] = skippedRoute(net, termPts[net.ID], sticky)
+			nr.Err = robust.Wrap("level-b", nr.Net.Name, sticky) // never attempted
 			continue
 		}
-		nr, sh := r.routeNet(net, termPts[net.ID], res, rank+1)
-		routes[net.ID] = nr
-		shapes[net.ID] = sh
+		r.routeNet(nr, res, k+1)
 	}
 	return sticky
 }
@@ -175,45 +177,33 @@ func (r *Router) pollSticky(sticky error) error {
 	return sticky
 }
 
-// skippedRoute marks a net that was never attempted because a sticky
-// budget condition ended the run first.
-func skippedRoute(net *netlist.Net, terms []tig.Point, cause error) *NetRoute {
-	return &NetRoute{
-		Net: net, Terminals: terms,
-		Err: robust.Wrap("level-b", net.Name, cause),
-	}
-}
-
 // recover runs bounded rip-up-and-reroute passes: every net that could
 // not complete lifts a set of committed nets out of its congestion
 // window, takes the freed space first, and the lifted nets re-route
 // after it. Passes repeat while they make progress.
-func (r *Router) recover(ordered []*netlist.Net,
-	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
-	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
-	res *Result) {
+func (r *Router) recover(routes []NetRoute, res *Result) {
 	for pass := 0; pass < r.cfg.ripupPasses(); pass++ {
 		if r.cfg.Budget.Err() != nil {
 			return
 		}
 		progress := false
 		attempts := 0
-		for _, net := range ordered {
-			if routes[net.ID].Err == nil {
+		for k := range routes {
+			if routes[k].Err == nil {
 				continue
 			}
 			if r.cfg.Budget.Err() != nil {
 				return
 			}
 			attempts++
-			if r.retryWithRipup(net, ordered, termPts, ranks, routes, shapes, res) {
+			if r.retryWithRipup(k, routes, res) {
 				progress = true
 			}
 		}
 		if r.tr.Enabled() {
 			failed := 0
-			for _, net := range ordered {
-				if routes[net.ID].Err != nil {
+			for k := range routes {
+				if routes[k].Err != nil {
 					failed++
 				}
 			}
@@ -225,13 +215,10 @@ func (r *Router) recover(ordered []*netlist.Net,
 	}
 }
 
-// retryWithRipup attempts to complete one failed net by freeing its
-// congestion window. It reports whether the net now routes.
-func (r *Router) retryWithRipup(net *netlist.Net, ordered []*netlist.Net,
-	termPts map[netlist.NetID][]tig.Point, ranks map[netlist.NetID]int,
-	routes map[netlist.NetID]*NetRoute, shapes map[netlist.NetID]*shape,
-	res *Result) bool {
-	terms := termPts[net.ID]
+// retryWithRipup attempts to complete the failed net of rank k+1 by
+// freeing its congestion window. It reports whether the net now routes.
+func (r *Router) retryWithRipup(k int, routes []NetRoute, res *Result) bool {
+	terms := routes[k].Terminals
 	if len(terms) == 0 {
 		return false
 	}
@@ -249,26 +236,23 @@ func (r *Router) retryWithRipup(net *netlist.Net, ordered []*netlist.Net,
 	// passing through (no terminal inside) are preferred — they can
 	// detour around the window, while nets pinned inside it cannot.
 	type victim struct {
-		net     *netlist.Net
+		k       int
 		passing bool
 	}
 	var victims []victim
-	for _, cand := range ordered {
-		if cand.ID == net.ID || routes[cand.ID].Err != nil {
-			continue
-		}
-		sh := shapes[cand.ID]
-		if sh == nil || !sh.intersects(cols, rows) {
+	for j := range routes {
+		cand := &routes[j]
+		if j == k || cand.Err != nil || !occupies(cand, cols, rows) {
 			continue
 		}
 		passing := true
-		for _, p := range termPts[cand.ID] {
+		for _, p := range cand.Terminals {
 			if cols.Contains(p.Col) && rows.Contains(p.Row) {
 				passing = false
 				break
 			}
 		}
-		victims = append(victims, victim{cand, passing})
+		victims = append(victims, victim{j, passing})
 	}
 	if len(victims) == 0 {
 		return false // nothing to free: the window is blocked by obstacles alone
@@ -277,103 +261,122 @@ func (r *Router) retryWithRipup(net *netlist.Net, ordered []*netlist.Net,
 		if victims[i].passing != victims[j].passing {
 			return victims[i].passing
 		}
-		hi, hj := victims[i].net.HalfPerimeter(), victims[j].net.HalfPerimeter()
-		if hi != hj {
+		ni, nj := routes[victims[i].k].Net, routes[victims[j].k].Net
+		if hi, hj := ni.HalfPerimeter(), nj.HalfPerimeter(); hi != hj {
 			return hi > hj
 		}
-		return victims[i].net.ID < victims[j].net.ID
+		return ni.ID < nj.ID
 	})
 	if maxVictims := r.cfg.ripupVictims(); len(victims) > maxVictims {
 		victims = victims[:maxVictims]
 	}
 
-	r.liftNet(net.ID, termPts, shapes)
-	for _, v := range victims {
-		r.liftNet(v.net.ID, termPts, shapes)
+	r.liftNet(&routes[k])
+	lifted := make([]int, len(victims))
+	for i, v := range victims {
+		r.liftNet(&routes[v.k])
+		lifted[i] = v.k
 	}
 	// The stuck net routes first into the freed window, then the
 	// victims re-route in their original serial order. Every retry
 	// keeps the net's original 1-based rank so trace events stay
 	// attributable to the net's position in the routing order.
-	nr, sh := r.routeNet(net, terms, res, ranks[net.ID])
-	routes[net.ID], shapes[net.ID] = nr, sh
-	lifted := make(map[netlist.NetID]bool, len(victims))
-	for _, v := range victims {
-		lifted[v.net.ID] = true
+	r.routeNet(&routes[k], res, k+1)
+	slices.Sort(lifted)
+	for _, j := range lifted {
+		r.routeNet(&routes[j], res, j+1)
 	}
-	for _, cand := range ordered {
-		if !lifted[cand.ID] {
-			continue
-		}
-		vnr, vsh := r.routeNet(cand, termPts[cand.ID], res, ranks[cand.ID])
-		routes[cand.ID], shapes[cand.ID] = vnr, vsh
-	}
-	ok := routes[net.ID].Err == nil
+	ok := routes[k].Err == nil
 	if r.tr.Enabled() {
-		r.tr.Emit(obs.Event{Type: obs.EvRipup, Net: net.Name, Victims: len(victims), Failed: !ok})
+		r.tr.Emit(obs.Event{Type: obs.EvRipup, Net: routes[k].Net.Name, Victims: len(victims), Failed: !ok})
 	}
 	return ok
 }
 
 // liftNet removes a net's committed metal from the grid (its terminal
 // stacks stay blocked: terminal positions are fixed geometry).
-func (r *Router) liftNet(id netlist.NetID, termPts map[netlist.NetID][]tig.Point, shapes map[netlist.NetID]*shape) {
-	if sh := shapes[id]; sh != nil {
-		sh.lift(r.g)
-	}
+func (r *Router) liftNet(nr *NetRoute) {
+	liftRoute(r.g, nr)
 	// Lifting spans can erase the blockage of coincident terminal
 	// points (interval sets hold no reference counts); restore it.
-	for _, p := range termPts[id] {
+	for _, p := range nr.Terminals {
 		r.g.BlockPoint(p.Col, p.Row)
 	}
 }
 
-// snapTerminals maps every net terminal to a grid point and checks
-// that no two nets land on the same point. Duplicate points within
-// one net (coarse grids) are collapsed.
-func (r *Router) snapTerminals(nets []*netlist.Net) (map[netlist.NetID][]tig.Point, error) {
-	owner := make(map[tig.Point]*netlist.Net)
-	out := make(map[netlist.NetID][]tig.Point, len(nets))
+// snapTerminals maps every net terminal to a grid point and marks it
+// on the grid as an unrouted terminal. Duplicate points within one net
+// (coarse grids) are collapsed. It returns each net's points, by
+// position in nets, as windows of one backing slice. Every point must
+// be free when snapped: one that another net already holds, or that
+// carries an obstacle, a previous batch's metal or a previous batch's
+// terminal stack, is invalid input — lifting it for this net's own
+// terminal would corrupt foreign geometry. The error names the first
+// such terminal in input order, and the grid is left as it was.
+func (r *Router) snapTerminals(nets []*netlist.Net) ([][]tig.Point, error) {
+	total := 0
 	for _, net := range nets {
-		seen := make(map[tig.Point]bool, len(net.Terminals))
-		var pts []tig.Point
+		total += len(net.Terminals)
+	}
+	pts := make([]tig.Point, 0, total)
+	out := make([][]tig.Point, len(nets))
+	for i, net := range nets {
+		start := len(pts)
 		for _, t := range net.Terminals {
 			p := tig.Point{
 				Col: r.g.NearestCol(t.Pos.X),
 				Row: r.g.NearestRow(t.Pos.Y),
 			}
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			if prev, clash := owner[p]; clash && prev != net {
-				return nil, robust.Invalidf("core: nets %q and %q share terminal grid point %v",
-					prev.Name, net.Name, p)
-			}
-			// The point must be free right now: occupied points carry an
-			// obstacle, a previous batch's metal, or a previous batch's
-			// terminal stack — lifting any of those for this net's own
-			// terminal would corrupt foreign geometry.
+			// A point taken since the call began was snapped by this
+			// net (a duplicate to collapse) or by an earlier one.
 			if !r.g.PointFree(p.Col, p.Row) {
-				return nil, robust.Invalidf("core: net %q terminal at %v lies on occupied grid point",
-					net.Name, p)
+				if slices.Contains(pts[start:], p) {
+					continue
+				}
+				if err := takenBy(net, p, nets[:i], out[:i]); err != nil {
+					for _, q := range pts {
+						r.g.ClearTerminal(q.Col, q.Row)
+					}
+					return nil, err
+				}
 			}
-			owner[p] = net
+			r.g.MarkTerminal(p.Col, p.Row)
 			pts = append(pts, p)
 		}
-		out[net.ID] = pts
+		out[i] = pts[start:len(pts):len(pts)]
 	}
 	return out, nil
 }
 
-// routeNet realises one net: its terminals are lifted out of the
+// takenBy explains why net's terminal point p, found occupied while
+// snapping, cannot be used: the earlier net in nets whose snapped
+// terminals hold it, or else the geometry that was there before. It
+// returns nil when that earlier net is net itself, listed twice.
+func takenBy(net *netlist.Net, p tig.Point, nets []*netlist.Net, terms [][]tig.Point) error {
+	for i, prev := range nets {
+		if !slices.Contains(terms[i], p) {
+			continue
+		}
+		if prev == net {
+			return nil
+		}
+		return robust.Invalidf("core: nets %q and %q share terminal grid point %v",
+			prev.Name, net.Name, p)
+	}
+	return robust.Invalidf("core: net %q terminal at %v lies on occupied grid point",
+		net.Name, p)
+}
+
+// routeNet realises the net of nr: its terminals are lifted out of the
 // blockage, its two-terminal connections are routed one by one (Prim
 // order for multi-terminal nets), and the accumulated shape is
-// committed back to the grid. rank is the net's 1-based serial
-// routing position; rip-up retries pass the original rank again so
-// per-net attribution survives recovery.
-func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank int) (*NetRoute, *shape) {
-	nr := &NetRoute{Net: net, Terminals: terms}
+// committed back to the grid and carved into nr, whose earlier result
+// it replaces. rank is the net's 1-based serial routing position;
+// rip-up retries pass the original rank again so per-net attribution
+// survives recovery.
+func (r *Router) routeNet(nr *NetRoute, res *Result, rank int) {
+	net, terms := nr.Net, nr.Terminals
+	*nr = NetRoute{Net: net, Terminals: terms}
 	r.cfg.Budget.BeginNet()
 	if r.tr.Enabled() {
 		r.tr.Emit(obs.Event{Type: obs.EvNetStart, Net: net.Name, Rank: rank, Terminals: len(terms)})
@@ -383,18 +386,18 @@ func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank
 	for _, p := range terms {
 		r.g.ClearTerminal(p.Col, p.Row)
 	}
-	sh := &shape{}
+	sh := &r.work
+	sh.reset()
 	r.eval.own = sh
 	defer func() {
 		r.eval.own = nil
-		sh.commit(r.g)
+		nr.Segments, nr.Vias = sh.carve(&r.segs, &r.vias)
+		commitRoute(r.g, nr)
 		// Terminal stacks block both layers for everyone else even
 		// when the terminal lies mid-segment of its own net.
 		for _, p := range terms {
 			r.g.BlockPoint(p.Col, p.Row)
 		}
-		nr.Segments = sh.segments()
-		nr.Vias = sh.viaPoints()
 		nr.WireLength = sh.wireLength(r.g)
 		if r.tr.Enabled() {
 			r.tr.Emit(obs.Event{
@@ -409,17 +412,13 @@ func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank
 	}()
 
 	if len(terms) < 2 {
-		return nr, sh // nothing to connect (or fully collapsed by snapping)
+		return // nothing to connect (or fully collapsed by snapping)
 	}
-	isTerm := make(map[tig.Point]bool, len(terms))
-	for _, p := range terms {
-		isTerm[p] = true
-	}
-	termTest := func(p tig.Point) bool { return isTerm[p] }
+	termTest := func(p tig.Point) bool { return slices.Contains(terms, p) }
 
 	if r.cfg.PlainMST {
 		r.routeMST(nr, terms, sh, termTest, res)
-		return nr, sh
+		return
 	}
 
 	// Modified Prim (paper section 3.3): grow the routed tree by
@@ -427,11 +426,11 @@ func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank
 	// component — where the component is every grid point of the
 	// already-routed tree, so attachments may land on Steiner points.
 	seed := terms[0]
-	left := append([]tig.Point(nil), terms[1:]...)
-	for len(left) > 0 {
+	r.left = append(r.left[:0], terms[1:]...)
+	for len(r.left) > 0 {
 		bestIdx, bestD := -1, 0
 		var bestTarget tig.Point
-		for i, p := range left {
+		for i, p := range r.left {
 			var q tig.Point
 			var d int
 			if qq, dd, ok := sh.nearestPoint(p); ok {
@@ -444,20 +443,19 @@ func (r *Router) routeNet(net *netlist.Net, terms []tig.Point, res *Result, rank
 				bestIdx, bestD, bestTarget = i, d, q
 			}
 		}
-		p := left[bestIdx]
-		left = append(left[:bestIdx], left[bestIdx+1:]...)
+		p := r.left[bestIdx]
+		r.left = append(r.left[:bestIdx], r.left[bestIdx+1:]...)
 		if sh.containsPoint(p) {
 			continue // tree already passes through this terminal
 		}
 		path, err := r.connect(nr, p, bestTarget, res)
 		if err != nil {
 			nr.Err = r.failNet(net.Name, err, nr)
-			return nr, sh
+			return
 		}
 		sh.addPath(path, termTest)
 		nr.Corners += path.Corners()
 	}
-	return nr, sh
 }
 
 // failNet wraps a connection failure with net provenance and, when the

@@ -445,7 +445,7 @@ func TestOrderingModes(t *testing.T) {
 	crit := nl.AddPoints("crit", netlist.Signal, geom.Pt(0, 0), geom.Pt(20, 20))
 	crit.Criticality = 5
 
-	first := func(o Order) string { return orderNets(nl.Nets(), o)[0].Name }
+	first := func(o Order) string { return nl.Nets()[orderNets(nl.Nets(), o)[0]].Name }
 	if got := first(LongestFirst); got != "long" {
 		t.Errorf("LongestFirst starts with %q", got)
 	}

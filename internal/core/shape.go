@@ -15,21 +15,31 @@ type span struct {
 	track, lo, hi int
 }
 
-// shape is the accumulated metal of one net in track index space:
-// horizontal wire spans per row, vertical spans per column, and via
-// points. Each layer is one slice of spans sorted by track, then lo.
-// addSpan merges a new span with every span of its track that it
-// overlaps or touches ([1,2] and [3,4] merge to [1,4]), so the spans
-// of one track are disjoint and non-adjacent: overlapping
+// shape is the accumulated metal of the net being routed, in track
+// index space: horizontal wire spans per row, vertical spans per
+// column, and via points. Each layer is one slice of spans sorted by
+// track, then lo. addSpan merges a new span with every span of its
+// track that it overlaps or touches ([1,2] and [3,4] merge to [1,4]),
+// so the spans of one track are disjoint and non-adjacent: overlapping
 // re-routes of the same net are deduplicated, and wire length
 // accounting is exact. Vias are one slice sorted by (Col, Row). Every
 // method walks the slices in that order, so commit order, cost
 // decisions and reported geometry are the same on every run, and none
 // sorts or copies.
+//
+// The router keeps one shape and reuses its slices from net to net, so
+// a shape grows without allocating once they have reached the largest
+// net's size. carve copies a finished net out into its NetRoute.
 type shape struct {
-	h    []span      // LayerH: track is the row, lo..hi columns
-	v    []span      // LayerV: track is the column, lo..hi rows
-	vias []tig.Point // sorted by comparePoints, distinct
+	h       []span      // LayerH: track is the row, lo..hi columns
+	v       []span      // LayerV: track is the column, lo..hi rows
+	vias    []tig.Point // sorted by comparePoints, distinct
+	corners []tig.Point // addPath's scratch
+}
+
+// reset empties the shape, keeping its slices for the next net.
+func (s *shape) reset() {
+	s.h, s.v, s.vias = s.h[:0], s.v[:0], s.vias[:0]
 }
 
 // searchSpans returns the index of the first span that lies on a
@@ -133,35 +143,9 @@ func (s *shape) addPath(p tig.Path, isTerminal func(tig.Point) bool) {
 			s.addV(a.Col, geom.Iv(geom.Min(a.Row, b.Row), geom.Max(a.Row, b.Row)))
 		}
 	}
-	for _, c := range p.AppendCorners(make([]tig.Point, 0, len(pts)-2)) {
+	s.corners = p.AppendCorners(s.corners[:0])
+	for _, c := range s.corners {
 		s.addVia(c)
-	}
-}
-
-// commit writes the whole shape into the grid occupancy.
-func (s *shape) commit(g *grid.Grid) {
-	for _, sp := range s.h {
-		g.CommitHWire(sp.track, geom.Iv(sp.lo, sp.hi))
-	}
-	for _, sp := range s.v {
-		g.CommitVWire(sp.track, geom.Iv(sp.lo, sp.hi))
-	}
-	for _, p := range s.vias {
-		g.CommitVia(p.Col, p.Row)
-	}
-}
-
-// lift removes the whole shape from the grid occupancy, making the
-// net's own metal transparent while the net is extended or re-routed.
-func (s *shape) lift(g *grid.Grid) {
-	for _, sp := range s.h {
-		g.LiftHWire(sp.track, geom.Iv(sp.lo, sp.hi))
-	}
-	for _, sp := range s.v {
-		g.LiftVWire(sp.track, geom.Iv(sp.lo, sp.hi))
-	}
-	for _, p := range s.vias {
-		g.LiftVia(p.Col, p.Row)
 	}
 }
 
@@ -204,52 +188,101 @@ func (s *shape) nearestPoint(p tig.Point) (tig.Point, int, bool) {
 	return best, bestD, true
 }
 
-// intersects reports whether any of the shape's metal lies inside the
-// index-space window.
-func (s *shape) intersects(cols, rows geom.Interval) bool {
-	for _, sp := range s.h {
-		if rows.Contains(sp.track) && geom.Iv(sp.lo, sp.hi).Overlaps(cols) {
-			return true
-		}
-	}
-	for _, sp := range s.v {
-		if cols.Contains(sp.track) && geom.Iv(sp.lo, sp.hi).Overlaps(rows) {
-			return true
-		}
-	}
-	for _, p := range s.vias {
-		if cols.Contains(p.Col) && rows.Contains(p.Row) {
-			return true
-		}
-	}
-	return false
-}
-
 // containsPoint reports whether the grid point carries metal of this
 // shape on either layer.
 func (s *shape) containsPoint(p tig.Point) bool {
 	return s.hasVia(p) || spanContains(s.h, p.Row, p.Col) || spanContains(s.v, p.Col, p.Row)
 }
 
-// segments returns the shape's wire spans in a deterministic order,
-// for the public result type.
-func (s *shape) segments() []Segment {
-	if len(s.h)+len(s.v) == 0 {
-		return nil
+// carve copies the shape out as a net's Segments (the horizontal spans,
+// then the vertical ones, each layer in the shape's order) and Vias.
+// Both are capacity-capped windows carved from the backings *segs and
+// *vias, so appending to one copies it rather than overwrite a
+// neighbour. Either is nil when empty.
+func (s *shape) carve(segs *[]Segment, vias *[]tig.Point) ([]Segment, []tig.Point) {
+	out := carve(segs, len(s.h)+len(s.v))
+	for i, sp := range s.h {
+		out[i] = Segment{Horizontal: true, Track: sp.track, Lo: sp.lo, Hi: sp.hi}
 	}
-	out := make([]Segment, 0, len(s.h)+len(s.v))
-	for _, sp := range s.h {
-		out = append(out, Segment{Horizontal: true, Track: sp.track, Lo: sp.lo, Hi: sp.hi})
+	for i, sp := range s.v {
+		out[len(s.h)+i] = Segment{Horizontal: false, Track: sp.track, Lo: sp.lo, Hi: sp.hi}
 	}
-	for _, sp := range s.v {
-		out = append(out, Segment{Horizontal: false, Track: sp.track, Lo: sp.lo, Hi: sp.hi})
-	}
-	return out
+	vs := carve(vias, len(s.vias))
+	copy(vs, s.vias)
+	return out, vs
 }
 
-// viaPoints returns a copy of the via points in a deterministic order.
-func (s *shape) viaPoints() []tig.Point {
-	return append(make([]tig.Point, 0, len(s.vias)), s.vias...)
+// minBlock is the smallest backing block carve allocates.
+const minBlock = 64
+
+// carve returns n elements from the free end of the backing *buf as a
+// capacity-capped window, or nil for n = 0. When the backing has no
+// room it starts a new block of at least twice its size; windows
+// carved earlier keep the old block alive, and none is ever handed out
+// twice.
+//
+//oc:hotpath
+func carve[T any](buf *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, 2*cap(b), minBlock))
+	}
+	b = b[:len(b)+n]
+	*buf = b
+	return b[len(b)-n : len(b) : len(b)]
+}
+
+// commitRoute writes a routed net's metal into the grid occupancy:
+// its segments, then its vias.
+func commitRoute(g *grid.Grid, nr *NetRoute) {
+	for _, sg := range nr.Segments {
+		if sg.Horizontal {
+			g.CommitHWire(sg.Track, geom.Iv(sg.Lo, sg.Hi))
+		} else {
+			g.CommitVWire(sg.Track, geom.Iv(sg.Lo, sg.Hi))
+		}
+	}
+	for _, p := range nr.Vias {
+		g.CommitVia(p.Col, p.Row)
+	}
+}
+
+// liftRoute removes what commitRoute wrote, making the net's metal
+// transparent while it, or a net it blocks, is re-routed.
+func liftRoute(g *grid.Grid, nr *NetRoute) {
+	for _, sg := range nr.Segments {
+		if sg.Horizontal {
+			g.LiftHWire(sg.Track, geom.Iv(sg.Lo, sg.Hi))
+		} else {
+			g.LiftVWire(sg.Track, geom.Iv(sg.Lo, sg.Hi))
+		}
+	}
+	for _, p := range nr.Vias {
+		g.LiftVia(p.Col, p.Row)
+	}
+}
+
+// occupies reports whether any of a routed net's metal lies inside the
+// index-space window.
+func occupies(nr *NetRoute, cols, rows geom.Interval) bool {
+	for _, sg := range nr.Segments {
+		across, along := rows, cols
+		if !sg.Horizontal {
+			across, along = cols, rows
+		}
+		if across.Contains(sg.Track) && geom.Iv(sg.Lo, sg.Hi).Overlaps(along) {
+			return true
+		}
+	}
+	for _, p := range nr.Vias {
+		if cols.Contains(p.Col) && rows.Contains(p.Row) {
+			return true
+		}
+	}
+	return false
 }
 
 // comparePoints orders points by column, then row.

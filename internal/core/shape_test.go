@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"overcell/internal/geom"
@@ -83,15 +83,20 @@ func shapeGrid(t *testing.T, nx, ny int) *grid.Grid {
 }
 
 // checkShapeAgainstOracle folds the case's paths into a flat shape and
-// into the map-based oracle, and after every path compares each
-// method's answer on every grid point, window and track span of the
-// grid. At the end it commits, then lifts, each shape on its own copy
-// of a grid with obstacles and compares the occupancy point by point.
+// into the map-based oracle, and after every path carves the flat shape
+// into a NetRoute and compares each method's answer, and occupies on
+// the carved route, on every grid point, window and track span of the
+// grid. At the end it commits, then lifts, the last carved route and
+// the oracle on their own copies of a grid with obstacles and compares
+// the occupancy point by point.
 func checkShapeAgainstOracle(t *testing.T, c shapeCase) {
 	t.Helper()
 	g := shapeGrid(t, c.nx, c.ny)
 	isTerm := func(p tig.Point) bool { return c.terms[p] }
 	flat, ref := &shape{}, newRefShape()
+	var segs []Segment
+	var vias []tig.Point
+	var nr NetRoute
 	for step, p := range c.paths {
 		flat.addPath(p, isTerm)
 		ref.addPath(p, isTerm)
@@ -100,10 +105,11 @@ func checkShapeAgainstOracle(t *testing.T, c shapeCase) {
 			t.Fatalf("after path %d %v: "+format, append([]any{step, p.Points}, args...)...)
 		}
 		checkShapeInvariants(t, flat)
-		if got, want := flat.segments(), ref.segments(); !reflect.DeepEqual(got, want) {
+		nr.Segments, nr.Vias = flat.carve(&segs, &vias)
+		if got, want := nr.Segments, ref.segments(); !slices.Equal(got, want) {
 			fail("segments %v, oracle %v", got, want)
 		}
-		if got, want := flat.viaPoints(), ref.viaPoints(); !reflect.DeepEqual(got, want) {
+		if got, want := nr.Vias, ref.viaPoints(); !slices.Equal(got, want) {
 			fail("viaPoints %v, oracle %v", got, want)
 		}
 		if got, want := flat.wireLength(g), ref.wireLength(g); got != want {
@@ -127,7 +133,7 @@ func checkShapeAgainstOracle(t *testing.T, c shapeCase) {
 					{geom.Iv(col, col+w), geom.Iv(row, row+2-w)},
 					{geom.Iv(col, col-1), geom.Iv(row, row)},
 				} {
-					if got, want := flat.intersects(win[0], win[1]), ref.intersects(win[0], win[1]); got != want {
+					if got, want := occupies(&nr, win[0], win[1]), ref.intersects(win[0], win[1]); got != want {
 						fail("intersects(%v, %v) = %v, oracle %v", win[0], win[1], got, want)
 					}
 				}
@@ -156,10 +162,10 @@ func checkShapeAgainstOracle(t *testing.T, c shapeCase) {
 		gg.BlockV(c.nx/2, geom.Iv(c.ny/2, c.ny-1))
 		gg.BlockPoint(c.nx-1, 0)
 	}
-	flat.commit(gotG)
+	commitRoute(gotG, &nr)
 	ref.commit(wantG)
 	compareOccupancy(t, "commit", gotG, wantG)
-	flat.lift(gotG)
+	liftRoute(gotG, &nr)
 	ref.lift(wantG)
 	compareOccupancy(t, "lift", gotG, wantG)
 }

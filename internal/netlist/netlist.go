@@ -12,8 +12,9 @@
 package netlist
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"overcell/internal/geom"
 	"overcell/internal/robust"
@@ -192,15 +193,15 @@ func ComputeStats(nets []*Net) Stats {
 	return s
 }
 
-// SortByHalfPerimeter sorts nets in place by descending half-perimeter
-// (the paper's "longest distance criterion"), breaking ties by ID for
-// determinism.
-func SortByHalfPerimeter(nets []*Net) {
-	sort.SliceStable(nets, func(i, j int) bool {
-		hi, hj := nets[i].HalfPerimeter(), nets[j].HalfPerimeter()
-		if hi != hj {
-			return hi > hj
-		}
-		return nets[i].ID < nets[j].ID
-	})
+// SortByHalfPerimeter sorts nets in place by ByHalfPerimeter.
+func SortByHalfPerimeter(nets []*Net) { slices.SortStableFunc(nets, ByHalfPerimeter) }
+
+// ByHalfPerimeter orders nets by descending half-perimeter (the
+// paper's "longest distance criterion"), breaking ties by ID for
+// determinism. It is a comparison function for package slices.
+func ByHalfPerimeter(a, b *Net) int {
+	if c := cmp.Compare(b.HalfPerimeter(), a.HalfPerimeter()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
