@@ -7,10 +7,11 @@
 // The checks are flat. A segment is an interval of grid points on its
 // (layer, track), and a via or terminal stack is a one-point interval
 // on each layer, so Conflicts and Connectivity sort and sweep intervals
-// instead of visiting grid points: O(k log k) time and O(k) storage
-// per call, for k segments, vias and terminals. verify builds its own
-// view of the geometry from the result and never consults the router's
-// grid.
+// instead of visiting grid points: O(k) storage per call, for k
+// segments, vias and terminals, and near-linear time, since intervals
+// are bucketed by track and only each track's own intervals are sorted
+// by first point. verify builds its own view of the geometry from the
+// result and never consults the router's grid.
 package verify
 
 import (
@@ -85,10 +86,11 @@ func (ls *layers) stack(p tig.Point, id int) {
 }
 
 // eachTrack sorts each layer byTrack and calls fn with each run of
-// intervals on one track.
-func (ls *layers) eachTrack(fn func(layer int, track []ival)) {
+// intervals on one track. buckets is sortByTrack's scratch, returned
+// for reuse.
+func (ls *layers) eachTrack(buckets []int, fn func(layer int, track []ival)) []int {
 	for layer, ivs := range ls {
-		slices.SortFunc(ivs, byTrack)
+		buckets = sortByTrack(ivs, buckets)
 		for i := 0; i < len(ivs); {
 			j := i + 1
 			for j < len(ivs) && ivs[j].track == ivs[i].track {
@@ -98,6 +100,71 @@ func (ls *layers) eachTrack(fn func(layer int, track []ival)) {
 			i = j
 		}
 	}
+	return buckets
+}
+
+// sortByTrack orders ivs byTrack in near-linear time and returns its
+// scratch for reuse. A counting pass sizes one bucket per track, a
+// prefix sum places the buckets, the intervals are swapped into their
+// buckets in place, and each bucket is sorted by first point. When the
+// tracks spread over more than twice as many values as there are
+// intervals (a whole result's do not, but one small net's often do), a
+// bucket takes in a power-of-two run of tracks instead, so the scratch
+// stays O(len(ivs)) on any input; such a bucket is sorted byTrack.
+//
+//oc:hotpath
+func sortByTrack(ivs []ival, buckets []int) []int {
+	if len(ivs) < 2 {
+		return buckets
+	}
+	first := ivs[0].track
+	last := first
+	for _, iv := range ivs[1:] {
+		first, last = min(first, iv.track), max(last, iv.track)
+	}
+	// Unsigned arithmetic measures the spread even where last-first
+	// overflows an int.
+	shift := 0
+	for (uint(last)-uint(first))>>shift >= uint(2*len(ivs)) {
+		shift++
+	}
+	bucket := func(iv ival) int { return int((uint(iv.track) - uint(first)) >> shift) }
+	nb := bucket(ival{track: last}) + 1
+	if cap(buckets) < 2*nb {
+		buckets = make([]int, 2*nb)
+	}
+	// next[b] is the next slot to fill in bucket b, end[b] its end.
+	next, end := buckets[:nb], buckets[nb:2*nb]
+	clear(end)
+	for _, iv := range ivs {
+		end[bucket(iv)]++
+	}
+	at := 0
+	for b := range end {
+		next[b] = at
+		at += end[b]
+		end[b] = at
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			iv := ivs[next[b]]
+			d := bucket(iv)
+			if d == b {
+				next[b]++
+				continue
+			}
+			// iv belongs to bucket d: swap it into d's next slot and
+			// look again at what came back.
+			ivs[next[b]], ivs[next[d]] = ivs[next[d]], iv
+			next[d]++
+		}
+	}
+	at = 0
+	for _, e := range end {
+		slices.SortFunc(ivs[at:e], byTrack)
+		at = e
+	}
+	return buckets
 }
 
 // kind names what a piece of metal is in a conflict error.
@@ -188,7 +255,7 @@ func Conflicts(res *core.Result) error {
 	}
 	var first conflict
 	found := false
-	ls.eachTrack(func(layer int, track []ival) {
+	ls.eachTrack(nil, func(layer int, track []ival) {
 		if !sharesForeign(track, owners) {
 			return
 		}
@@ -269,7 +336,8 @@ func Connectivity(res *core.Result) error {
 	if most == 0 {
 		return nil
 	}
-	u := unionFind{parent: make([]int, 0, most), ls: newLayers(most, most)}
+	// sortByTrack needs at most two buckets per interval of a layer.
+	u := unionFind{parent: make([]int, 0, most), ls: newLayers(most, most), buckets: make([]int, 4*most)}
 	for _, nr := range res.Routes {
 		if nr.Err != nil || len(nr.Terminals) < 2 {
 			continue
@@ -285,8 +353,9 @@ func Connectivity(res *core.Result) error {
 // call: a disjoint-set forest over a net's segments, vias and
 // terminals, and their intervals.
 type unionFind struct {
-	parent []int
-	ls     layers
+	parent  []int
+	ls      layers
+	buckets []int
 }
 
 func (u *unionFind) fresh() int {
@@ -323,7 +392,7 @@ func (u *unionFind) net(nr *core.NetRoute) error {
 	// In order of first point, an interval shares a point with an
 	// earlier one iff it starts at or before the furthest reach so far,
 	// and then it shares one with the interval holding that reach.
-	u.ls.eachTrack(func(_ int, track []ival) {
+	u.buckets = u.ls.eachTrack(u.buckets, func(_ int, track []ival) {
 		reach, holder := track[0].hi, track[0].id
 		for _, iv := range track[1:] {
 			if iv.lo <= reach {

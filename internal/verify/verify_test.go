@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,5 +234,41 @@ func TestAvoidsRegions(t *testing.T) {
 	res.Routes[0].Vias = []tig.Point{{Col: 5, Row: 5}}
 	if err := AvoidsRegions(res, vOnly); err == nil {
 		t.Error("via inside region not caught")
+	}
+}
+
+// TestSortByTrack holds the bucketed sort to slices.SortFunc on random
+// intervals whose tracks are dense, sparse, negative or at the ends of
+// the int range: the result must be ordered byTrack and hold the same
+// intervals.
+func TestSortByTrack(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	spreads := []int{1, 4, 64, 1 << 20, math.MaxInt}
+	var buckets []int
+	for trial := 0; trial < 2000; trial++ {
+		spread := spreads[trial%len(spreads)]
+		ivs := make([]ival, rng.Intn(40))
+		for i := range ivs {
+			track := rng.Intn(spread)
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3:
+				track = -track
+			case 4:
+				if spread == math.MaxInt {
+					track = math.MinInt // the spread overflows an int
+				}
+			}
+			lo := rng.Intn(8)
+			ivs[i] = ival{track: track, lo: lo, hi: lo + rng.Intn(4), id: i}
+		}
+		got := slices.Clone(ivs)
+		buckets = sortByTrack(got, buckets)
+		if !slices.IsSortedFunc(got, byTrack) {
+			t.Fatalf("trial %d: not sorted by track and lo: %v", trial, got)
+		}
+		slices.SortFunc(got, func(a, b ival) int { return a.id - b.id })
+		if !slices.Equal(got, ivs) {
+			t.Fatalf("trial %d: intervals changed: %v, want %v", trial, got, ivs)
+		}
 	}
 }
