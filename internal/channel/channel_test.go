@@ -3,6 +3,7 @@ package channel
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +49,29 @@ func TestDensity(t *testing.T) {
 	// Spans: 1=[0,1], 2=[1,2], 3=[2,3]. At column 1: nets 1,2 -> 2; at 2: 2,3 -> 2.
 	if d := p.Density(); d != 2 {
 		t.Errorf("density = %d, want 2", d)
+	}
+}
+
+// TestDensityUnequalEdges: a column past the end of an edge has no pin
+// on that edge, so Density reads edges of different lengths without
+// panicking, while Validate and every router refuse them.
+func TestDensityUnequalEdges(t *testing.T) {
+	for _, p := range []*Problem{
+		{Top: []int{1, 0, 1}, Bottom: []int{0}},
+		{Top: []int{0}, Bottom: []int{1, 0, 1}},
+	} {
+		if d := p.Density(); d != 1 {
+			t.Errorf("%v: density = %d, want 1", p, d)
+		}
+		const want = "channel: top has"
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: Validate = %v, want the length error", p, err)
+		}
+		for i, route := range []func(*Problem) (*Solution, error){LeftEdge, NetMerge, Dogleg, Greedy} {
+			if _, err := route(p); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: router %d of LeftEdge, NetMerge, Dogleg, Greedy = %v, want the length error", p, i, err)
+			}
+		}
 	}
 }
 
@@ -355,6 +379,27 @@ func TestSolutionValidateCatchesBadGeometry(t *testing.T) {
 		Horizontals: []Segment{{Net: 1, Track: 0, Lo: 0, Hi: 2}}}
 	if err := bad3.Validate(p); err == nil {
 		t.Error("unconnected pins not caught")
+	}
+	// A short inside a longer segment of another net, with a shorter
+	// segment of that net sorting between them; pins and taps are
+	// otherwise consistent.
+	p4 := &Problem{Top: []int{1, 0, 0, 2, 2, 1}, Bottom: make([]int, 6)}
+	bad4 := &Solution{
+		Tracks: 1, Width: 6,
+		Horizontals: []Segment{
+			{Net: 1, Track: 0, Lo: 0, Hi: 5},
+			{Net: 1, Track: 0, Lo: 1, Hi: 2},
+			{Net: 2, Track: 0, Lo: 3, Hi: 4},
+		},
+		Verticals: []Vertical{
+			{Net: 1, Col: 0, TouchTop: true, Taps: []int{0}},
+			{Net: 2, Col: 3, TouchTop: true, Taps: []int{0}},
+			{Net: 2, Col: 4, TouchTop: true, Taps: []int{0}},
+			{Net: 1, Col: 5, TouchTop: true, Taps: []int{0}},
+		},
+	}
+	if err := bad4.Validate(p4); err == nil || !strings.Contains(err.Error(), "overlap between nets 1 and 2") {
+		t.Errorf("short inside a longer segment: err = %v, want an overlap between nets 1 and 2", err)
 	}
 }
 

@@ -89,8 +89,10 @@ func (p *Problem) pinNets() (nets []int, pins []pinRef, err error) {
 	return nets, pins, nil
 }
 
-// listPins is pinNets without the checks. single is the least net
-// number with one pin, or 0 when every net has two or more.
+// listPins is pinNets without the checks. A column past the end of an
+// edge has no pin on that edge, so the edges may differ in length.
+// single is the least net number with one pin, or 0 when every net has
+// two or more.
 func (p *Problem) listPins() (nets []int, pins []pinRef, single int) {
 	n := 0
 	for _, edge := range [2][]int{p.Top, p.Bottom} {
@@ -102,9 +104,9 @@ func (p *Problem) listPins() (nets []int, pins []pinRef, single int) {
 	}
 	pins = make([]pinRef, 0, n)
 	nets = make([]int, 0, n)
-	for c := range p.Top {
-		for side, net := range [2]int{p.Top[c], p.Bottom[c]} {
-			if net != 0 {
+	for c := range max(len(p.Top), len(p.Bottom)) {
+		for side, edge := range [2][]int{p.Top, p.Bottom} {
+			if net := pinAt(edge, c); net != 0 {
 				// The net number stands in for its index until nets is
 				// sorted.
 				pins = append(pins, pinRef{slot: 2*c + side, net: net})
@@ -130,6 +132,14 @@ func (p *Problem) listPins() (nets []int, pins []pinRef, single int) {
 	return nets, pins, single
 }
 
+// pinAt returns the net pinned at column c of edge, 0 past its end.
+func pinAt(edge []int, c int) int {
+	if c < len(edge) {
+		return edge[c]
+	}
+	return 0
+}
+
 // pinSpans returns the leftmost and rightmost pin column of each of n
 // nets, named by index as in pins.
 func pinSpans(n int, pins []pinRef) [][2]int {
@@ -148,12 +158,12 @@ func pinSpans(n int, pins []pinRef) [][2]int {
 
 // Density returns the maximum column density: the largest number of
 // nets whose pin spans cross any single column boundary. It is the
-// classic lower bound on the number of tracks. It needs the bottom
-// edge to be at least as long as the top and checks nothing else; a
-// net with a single pin spans its own column.
+// classic lower bound on the number of tracks. It checks nothing
+// (Validate does): a column past the end of the shorter edge has no
+// pin on that edge, and a net with a single pin spans its own column.
 func (p *Problem) Density() int {
 	nets, pins, _ := p.listPins()
-	return density(p.Width(), pinSpans(len(nets), pins))
+	return density(max(len(p.Top), len(p.Bottom)), pinSpans(len(nets), pins))
 }
 
 // density sweeps the spans of a channel width columns wide: each span

@@ -114,12 +114,8 @@ func (s *Solution) checkDesignRules() error {
 		byTrack[h.Track] = append(byTrack[h.Track], h)
 	}
 	for track, segs := range byTrack {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Lo < segs[j].Lo })
-		for i := 1; i < len(segs); i++ {
-			a, b := segs[i-1], segs[i]
-			if a.Net != b.Net && b.Lo <= a.Hi {
-				return fmt.Errorf("channel: track %d overlap between nets %d and %d", track, a.Net, b.Net)
-			}
+		if a, b, ok := foreignOverlap(segs); ok {
+			return fmt.Errorf("channel: track %d overlap between nets %d and %d", track, a, b)
 		}
 	}
 	// Vertical overlap per column, the columns in order.
@@ -148,6 +144,39 @@ func (s *Solution) checkDesignRules() error {
 		}
 	}
 	return nil
+}
+
+// foreignOverlap sorts one track's segments by Lo and reports the first
+// segment, in that order, that shares a column with an earlier segment
+// of another net: that net, then its own. It follows the segment
+// reaching furthest and the furthest reach of any other net, so a
+// segment inside a longer one of another net is found even when
+// shorter segments of either net lie between them.
+func foreignOverlap(segs []Segment) (earlier, net int, ok bool) {
+	if len(segs) < 2 {
+		return 0, 0, false
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Lo < segs[j].Lo })
+	reach, owner := segs[0].Hi, segs[0].Net
+	other, otherNet, hasOther := 0, 0, false
+	for _, b := range segs[1:] {
+		switch {
+		case b.Net != owner && b.Lo <= reach:
+			return owner, b.Net, true
+		case b.Net == owner && hasOther && b.Lo <= other:
+			return otherNet, b.Net, true
+		}
+		switch {
+		case b.Hi > reach && b.Net != owner:
+			other, otherNet, hasOther = reach, owner, true
+			reach, owner = b.Hi, b.Net
+		case b.Hi > reach:
+			reach = b.Hi
+		case b.Net != owner && (!hasOther || b.Hi > other):
+			other, otherNet, hasOther = b.Hi, b.Net, true
+		}
+	}
+	return 0, 0, false
 }
 
 // bounds maps a vertical to a comparable [lo,hi] range in half-track
