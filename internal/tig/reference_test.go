@@ -346,6 +346,45 @@ func TestSearchExaminesEachTrackOnce(t *testing.T) {
 	}
 }
 
+// TestSearchStorageBound checks the paper's storage claim for the
+// strict rule on the random families: a strict search keeps at most
+// 2·(window columns + window rows) tree nodes. Each non-target track
+// is entered at most once, and a node on a target track that does not
+// complete cannot cross the other target track, so the target tracks
+// add at most one node per track of the other direction. Under both
+// rules the arena holds exactly the roots and the Expanded nodes.
+func TestSearchStorageBound(t *testing.T) {
+	st := NewSearcher()
+	for _, fam := range searchFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			strict, worst := 0, 0.0
+			fam.each(t, func(name string, g *grid.Grid, from, to Point, cfg Config) {
+				res, _ := st.Search(g, from, to, cfg)
+				if res == nil || len(res.Trees) == 0 {
+					return // stopped before any search
+				}
+				nodes := int(st.arena.n)
+				if nodes != res.Expanded+len(res.Trees) {
+					t.Fatalf("%s: arena holds %d nodes, want Expanded %d + %d roots", name, nodes, res.Expanded, len(res.Trees))
+				}
+				if cfg.RelaxedVisit {
+					return
+				}
+				bound := 2 * (st.cb.Len() + st.rb.Len())
+				if nodes > bound {
+					t.Fatalf("%s: %d nodes, bound 2·(%d + %d) = %d", name, nodes, st.cb.Len(), st.rb.Len(), bound)
+				}
+				strict++
+				worst = max(worst, float64(nodes)/float64(bound))
+			})
+			t.Logf("%d strict searches, the largest at %.2f of the bound", strict, worst)
+			if strict == 0 {
+				t.Error("no strict search ran")
+			}
+		})
+	}
+}
+
 // checkExamineOnce walks res.Trees and fails t when a non-target track
 // appears in two nodes (strict rule) or at two levels (relaxed rule).
 // It returns the number of nodes walked.
