@@ -10,13 +10,15 @@ import (
 	"overcell/internal/geom"
 	"overcell/internal/grid"
 	"overcell/internal/netlist"
+	"overcell/internal/robust"
 )
 
-// TestAllocationGates bounds allocations per call on three pinned
-// workloads at 1.10 times the counts measured when grid occupancy
-// became bitsets: 2,098 for levelb_nets100, 8,642 for table2_ami33 and
-// 8,568 for channelfree_ex3. Allocation counts do not depend on the host or
-// its clock, so growth past a bound is a regression wherever it shows.
+// TestAllocationGates bounds allocations per call on four pinned
+// workloads at 1.10 times the counts measured when search trees and
+// net shapes moved into arenas: 396 for levelb_nets100, 6,045 for
+// table2_ami33, 3,856 for channelfree_ex3 and 2,091 for ripup_dense.
+// Allocation counts do not depend on the host or its clock, so growth
+// past a bound is a regression wherever it shows.
 // Each call builds its own inputs; testing.AllocsPerRun skips one
 // warm-up call, so it reads a little below a single cold run.
 func TestAllocationGates(t *testing.T) {
@@ -25,9 +27,10 @@ func TestAllocationGates(t *testing.T) {
 		max   float64
 		route func() error
 	}{
-		{"levelb_nets100", 2308, routeLevelBNets100},
-		{"table2_ami33", 9506, routeTable2Ami33},
-		{"channelfree_ex3", 9425, routeChannelFreeEx3},
+		{"levelb_nets100", 436, routeLevelBNets100},
+		{"table2_ami33", 6650, routeTable2Ami33},
+		{"channelfree_ex3", 4242, routeChannelFreeEx3},
+		{"ripup_dense", 2300, routeRipupDense},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
@@ -107,4 +110,34 @@ func routeChannelFreeEx3() error {
 	}
 	_, err = flow.ChannelFree(inst, flow.Options{})
 	return err
+}
+
+// routeRipupDense routes the dense draw of seed 14 (104 signal nets on
+// three rows of twelve cells, the rip-up family's parameters) with the
+// proposed flow under a per-net budget of 5,000 nodes, accepting
+// partial results. Thirteen nets trip the budget and rip up, and two
+// stay degraded; a route that degrades none has stopped exercising
+// recovery and fails the gate.
+func routeRipupDense() error {
+	inst, err := gen.Generate(gen.Params{
+		Name: "dense", Seed: 14,
+		Rows: 3, Cells: 12,
+		CellWMin: 240, CellWMax: 420, CellHMin: 140, CellHMax: 220,
+		RowGap: 64, Margin: 48,
+		SensitivePerMille: 90,
+		SignalNets:        104,
+		LevelANets:        []int{4, 4},
+		RailHalfWidth:     6,
+	})
+	if err != nil {
+		return err
+	}
+	res, err := flow.Proposed(inst, flow.Options{AllowPartial: true, Limits: robust.Limits{NetExpansions: 5000}})
+	if err != nil {
+		return err
+	}
+	if res.Degraded == 0 {
+		return fmt.Errorf("ripup_dense: no net degraded, so the route no longer trips the budget")
+	}
+	return nil
 }
