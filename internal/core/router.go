@@ -78,8 +78,9 @@ type Router struct {
 	// because connect/selectBest/addPath consume each result fully
 	// before the next search starts.
 	search *tig.Searcher
-	// work is the shape of the net being routed, reused from net to
-	// net, and left its scratch for the modified Prim loop.
+	// work is the shape of the net being routed and left the terminals
+	// the modified Prim loop has still to attach; both keep their
+	// memory from net to net.
 	work shape
 	left []tig.Point
 	// segs and vias back the Segments and Vias of every net the router

@@ -86,15 +86,6 @@ func (n Node) Level() int {
 	return l
 }
 
-// Parent returns the node's parent; ok is false for a root.
-func (n Node) Parent() (p Node, ok bool) {
-	x := n.at()
-	if x.parent < 0 {
-		return Node{}, false
-	}
-	return Node{n.a, int(x.parent)}, true
-}
-
 // NumChildren returns the number of tracks the search entered from
 // this node's track.
 func (n Node) NumChildren() int { return int(n.at().count) }
