@@ -199,6 +199,8 @@ func (s *shape) containsPoint(p tig.Point) bool {
 // Both are capacity-capped windows carved from the backings *segs and
 // *vias, so appending to one copies it rather than overwrite a
 // neighbour. Either is nil when empty.
+//
+//oc:hotpath
 func (s *shape) carve(segs *[]Segment, vias *[]tig.Point) ([]Segment, []tig.Point) {
 	out := carve(segs, len(s.h)+len(s.v))
 	for i, sp := range s.h {

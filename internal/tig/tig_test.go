@@ -2,6 +2,7 @@ package tig
 
 import (
 	"testing"
+	"unsafe"
 
 	"overcell/internal/geom"
 	"overcell/internal/grid"
@@ -227,6 +228,11 @@ func TestMaxCornersCap(t *testing.T) {
 }
 
 func TestPathSelectionTreesRecorded(t *testing.T) {
+	// The arena's slots stay 24 bytes: the relaxed
+	// rung's largest searches hold tens of millions of them.
+	if size := unsafe.Sizeof(node{}); size != 24 {
+		t.Errorf("tree node is %d bytes, want 24", size)
+	}
 	g := freshGrid(t, 10, 10)
 	res := runSearch(t, g, Point{2, 2}, Point{7, 6}, Config{})
 	if len(res.Trees) != 2 {
