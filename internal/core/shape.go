@@ -23,9 +23,9 @@ type span struct {
 // so the spans of one track are disjoint and non-adjacent: overlapping
 // re-routes of the same net are deduplicated, and wire length
 // accounting is exact. Vias are one slice sorted by (Col, Row). Every
-// method walks the slices in that order, so commit order, cost
-// decisions and reported geometry are the same on every run, and none
-// sorts or copies.
+// method walks the slices in that order, so cost decisions and the
+// carved geometry are the same on every run; none sorts, and only
+// carve copies.
 //
 // The router keeps one shape and reuses its slices from net to net, so
 // a shape grows without allocating once they have reached the largest
