@@ -392,10 +392,10 @@ func checkExamineOnce(t *testing.T, name string, res *Result, to Point, relaxed 
 	t.Helper()
 	level := map[Track]int{}
 	nodes := 0
-	var walk func(n Node)
-	walk = func(n Node) {
+	var walk func(n Node, lv int)
+	walk = func(n Node, lv int) {
 		nodes++
-		tr, lv := n.Track(), n.Level()
+		tr := n.Track()
 		target := tr.Vertical && tr.Index == to.Col || !tr.Vertical && tr.Index == to.Row
 		if prev, seen := level[tr]; seen && !target {
 			if !relaxed {
@@ -407,11 +407,11 @@ func checkExamineOnce(t *testing.T, name string, res *Result, to Point, relaxed 
 		}
 		level[tr] = lv
 		for k := 0; k < n.NumChildren(); k++ {
-			walk(n.Child(k))
+			walk(n.Child(k), lv+1) // a child's track costs one more corner
 		}
 	}
 	for _, root := range res.Trees {
-		walk(root)
+		walk(root, 0)
 	}
 	return nodes
 }

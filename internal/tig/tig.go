@@ -76,16 +76,6 @@ func (n Node) Track() Track {
 // row index for a vertical track, a column index for a horizontal one.
 func (n Node) Entry() int { return int(n.at().entry) }
 
-// Level returns the number of corners consumed to enter the node's
-// track: its depth in the tree.
-func (n Node) Level() int {
-	l := 0
-	for x := n.at(); x.parent >= 0; x = n.a.at(int(x.parent)) {
-		l++
-	}
-	return l
-}
-
 // NumChildren returns the number of tracks the search entered from
 // this node's track.
 func (n Node) NumChildren() int { return int(n.at().count) }
