@@ -38,14 +38,15 @@ bench:
 
 # fuzz smoke-runs each fuzz target for a short burst (go's -fuzz flag
 # accepts one target per invocation). Crashers land under the package's
-# testdata/fuzz/ (internal/channel, internal/core, internal/geom,
-# internal/robust/fault, internal/tig, internal/verify) and replay via
-# plain `go test`.
+# testdata/fuzz/ (internal/channel, internal/core, internal/gen,
+# internal/geom, internal/robust/fault, internal/tig, internal/verify)
+# and replay via plain `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/channel -run='^$$' -fuzz=FuzzGreedy -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/channel -run='^$$' -fuzz=FuzzDoglegAndNetMerge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzShape -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/geom -run='^$$' -fuzz=FuzzBits -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzProposed -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/robust/fault -run='^$$' -fuzz=FuzzTIGSearch -fuzztime=$(FUZZTIME)

@@ -425,35 +425,6 @@ func BenchmarkAblationPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkChannelRouters routes the ami33 baseline flow with each of
-// two channel configurations: auto (dogleg, falling back to greedy
-// where dogleg refuses) and greedy alone.
-func BenchmarkChannelRouters(b *testing.B) {
-	for _, a := range []struct {
-		name string
-		algo flow.ChannelAlgo
-	}{
-		{"auto", flow.AutoChannel},
-		{"greedy", flow.GreedyChannel},
-	} {
-		b.Run(a.name, func(b *testing.B) {
-			var res *flow.Result
-			for i := 0; i < b.N; i++ {
-				inst, err := gen.Ami33Like()
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err = flow.TwoLayerBaseline(inst, flow.Options{Channel: a.algo})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Area), "area")
-			b.ReportMetric(float64(res.Vias), "vias")
-		})
-	}
-}
-
 // BenchmarkSteinerLibrary exercises the pure geometric RST/MST
 // construction of internal/steiner.
 func BenchmarkSteinerLibrary(b *testing.B) {

@@ -41,22 +41,8 @@ import (
 	"overcell/internal/verify"
 )
 
-// ChannelAlgo selects the detailed channel router.
-type ChannelAlgo int
-
-// Channel router choices. AutoChannel tries dogleg first and falls
-// back to the greedy router when constraints are cyclic.
-const (
-	AutoChannel ChannelAlgo = iota
-	GreedyChannel
-	DoglegChannel
-	LeftEdgeChannel
-	NetMergeChannel
-)
-
 // Options tunes a flow run.
 type Options struct {
-	Channel ChannelAlgo
 	// Core configures the level B router; the zero value means
 	// core.DefaultConfig.
 	Core *core.Config
@@ -246,7 +232,6 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 	if err := b.Err(); err != nil {
 		return nil, robust.Wrap("level-a", "", err)
 	}
-	algo := opt.Channel
 	l := inst.Layout
 	// Provisional placement: x-coordinates are all global assignment
 	// needs, and they are independent of channel heights.
@@ -269,7 +254,7 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 		if err := b.Err(); err != nil {
 			return nil, robust.Wrap("level-a", "", err)
 		}
-		sol, err := routeChannel(prob, algo)
+		sol, err := routeChannel(prob)
 		if err != nil {
 			// Level A built the problem from valid input, so a channel it
 			// cannot solve (cyclic constraints, two pins of one net folded
@@ -307,25 +292,17 @@ func levelABody(inst *gen.Instance, subset func(gen.NetSpec) bool, opt Options, 
 	return res, nil
 }
 
-func routeChannel(p *channel.Problem, algo ChannelAlgo) (*channel.Solution, error) {
+// routeChannel solves one channel with the dogleg router, falling back
+// to the greedy router, which always completes, where dogleg refuses
+// (cyclic vertical constraints).
+func routeChannel(p *channel.Problem) (*channel.Solution, error) {
 	if empty(p) {
 		return &channel.Solution{Tracks: 0, Width: p.Width(), Algorithm: "empty"}, nil
 	}
-	switch algo {
-	case GreedyChannel:
-		return channel.Greedy(p)
-	case DoglegChannel:
-		return channel.Dogleg(p)
-	case LeftEdgeChannel:
-		return channel.LeftEdge(p)
-	case NetMergeChannel:
-		return channel.NetMerge(p)
-	default:
-		if sol, err := channel.Dogleg(p); err == nil {
-			return sol, nil
-		}
-		return channel.Greedy(p)
+	if sol, err := channel.Dogleg(p); err == nil {
+		return sol, nil
 	}
+	return channel.Greedy(p)
 }
 
 func empty(p *channel.Problem) bool {

@@ -1,12 +1,9 @@
 package flow
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 
 	"overcell/internal/gen"
-	"overcell/internal/robust"
 )
 
 // runFlows executes the baseline and proposed flows on an instance and
@@ -135,14 +132,6 @@ func TestFlowDeterminism(t *testing.T) {
 	}
 }
 
-func TestChannelAlgoOptions(t *testing.T) {
-	for _, algo := range []ChannelAlgo{AutoChannel, GreedyChannel} {
-		if _, err := TwoLayerBaseline(build(t, gen.Ex3Like), Options{Channel: algo}); err != nil {
-			t.Errorf("algo %d: %v", algo, err)
-		}
-	}
-}
-
 func TestCustomPartitionPolicy(t *testing.T) {
 	// Push the high-fanout nets to level B too: only nets with at most
 	// 5 pins stay in the channels. Channels should shrink further or
@@ -171,31 +160,6 @@ func TestCustomPartitionPolicy(t *testing.T) {
 	}
 	if custom.LevelB == nil || custom.LevelB.Failed != 0 {
 		t.Error("custom partition failed level B completion")
-	}
-}
-
-// TestNetMergeChannelOption routes the two-layer baseline with net
-// merging ten times on each of two instances. The router may refuse a
-// cyclic channel, as an unroutable one, but every call must fail with
-// the first call's error text or succeed with its hash.
-func TestNetMergeChannelOption(t *testing.T) {
-	for _, mk := range []func() (*gen.Instance, error){gen.Ami33Like, gen.Ex3Like} {
-		var first string
-		for call := 0; call < 10; call++ {
-			res, err := TwoLayerBaseline(build(t, mk), Options{Channel: NetMergeChannel})
-			got := fmt.Sprint(err)
-			if err == nil {
-				got = Hash(res)
-			} else if !errors.Is(err, robust.ErrUnroutable) {
-				t.Fatalf("net-merge refusal not typed unroutable: %v", err)
-			}
-			if call == 0 {
-				first = got
-				t.Logf("net merging: %s", got)
-			} else if got != first {
-				t.Fatalf("call %d: %s, first call %s", call, got, first)
-			}
-		}
 	}
 }
 

@@ -1,29 +1,28 @@
 package gen
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 )
 
 // CanonicalJSON returns the instance's canonical serialisation: the
-// WriteJSON document, whose field and element order is fully
+// WriteJSON document, compact. Its field and element order is fully
 // determined by the instance (rows, cells and nets serialise in their
-// stored order). Two instances describing the same problem produce
-// byte-identical canonical JSON, which is what makes Hash a stable
-// identity for caching, journaling and crash-recovery equivalence.
+// stored order), so two instances describing the same problem produce
+// byte-identical canonical JSON. These are the bytes ocserved's
+// journal stores for a run, and Hash names exactly them, which is what
+// makes it a stable identity for caching, journaling and
+// crash-recovery equivalence. ReadJSON of the canonical bytes gives an
+// instance whose CanonicalJSON is the same bytes (FuzzReadJSON).
 func (inst *Instance) CanonicalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := inst.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return json.Marshal(inst.document())
 }
 
 // Hash returns the canonical content hash of the instance: the hex
-// SHA-256 of CanonicalJSON. Routing has been byte-deterministic since
-// PR 1, so equal instance hashes imply byte-identical routing results
-// under equal options — the invariant crash recovery verifies.
+// SHA-256 of CanonicalJSON. Routing is byte-deterministic, so equal
+// instance hashes imply byte-identical routing results under equal
+// options — the invariant crash recovery verifies.
 func (inst *Instance) Hash() (string, error) {
 	b, err := inst.CanonicalJSON()
 	if err != nil {

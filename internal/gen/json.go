@@ -62,8 +62,17 @@ var classValues = map[string]netlist.Class{
 	"timing": netlist.Timing, "power": netlist.Power, "ground": netlist.Ground,
 }
 
-// WriteJSON serialises the instance.
+// WriteJSON serialises the instance, indented for people to read.
 func (inst *Instance) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(inst.document())
+}
+
+// document builds the instance's JSON document. Rows, cells, nets and
+// pins keep their stored order, so the document is a function of the
+// instance.
+func (inst *Instance) document() jsonInstance {
 	out := jsonInstance{
 		Name:          inst.Name,
 		Margin:        inst.Layout.Margin,
@@ -89,9 +98,7 @@ func (inst *Instance) WriteJSON(w io.Writer) error {
 		}
 		out.Nets = append(out.Nets, jn)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
 }
 
 // ReadJSON deserialises an instance. The result is placed with

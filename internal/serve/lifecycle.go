@@ -62,15 +62,13 @@ func (s *Server) Recover(rep *journal.Replay) (finished, requeued, failed int) {
 		}
 		s.noteID(st.ID)
 		switch {
-		case st.State != "":
+		case !st.NeedsRequeue():
 			s.recoverFinished(st)
 			finished++
+		case s.requeue(st):
+			requeued++
 		default:
-			if s.requeue(st) {
-				requeued++
-			} else {
-				failed++
-			}
+			failed++
 		}
 	}
 	// The replayed history may hold more finished runs than KeepRuns;
@@ -172,12 +170,11 @@ func (s *Server) requeue(st *journal.RunState) bool {
 	// watch the re-execution from its start.
 	s.attachTelemetry(ru)
 	s.mu.Unlock()
-	req := jobRequest{Flow: st.Flow, RunOpts: st.Opts}
 	s.recovered["requeued"].Inc()
 	s.log.Info("run requeued from journal",
 		"run_id", ru.id, "flow", st.Flow, "instance", st.Name,
 		"instance_hash", st.InstanceHash)
-	go s.execute(ctx, ru, fn, inst, req)
+	go s.execute(ctx, ru, fn, inst, st.Opts)
 	return true
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -81,12 +82,8 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("healthz = %d %q", code, body)
 	}
 
-	// A wrapped job body, waited synchronously.
-	job, _ := json.Marshal(map[string]any{
-		"flow": "proposed", "wait": true,
-		"instance": json.RawMessage(testInstance(t)),
-	})
-	code, st, raw := postRun(t, ts.URL, "", job)
+	// A bare instance body, waited synchronously.
+	code, st, raw := postRun(t, ts.URL, "?flow=proposed&wait=1", testInstance(t))
 	if code != 200 {
 		t.Fatalf("POST /runs = %d: %s", code, raw)
 	}
@@ -198,6 +195,46 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, _ := getBody(t, ts.URL+"/runs/run-99"); code != 404 {
 		t.Errorf("unknown run = %d, want 404", code)
+	}
+}
+
+// TestRefusedSubmissions posts bodies and knobs the service refuses: a
+// {"flow", "instance"} wrapper object, which is not an instance, and
+// each numeric knob negative. Each must answer 400 before anything is
+// registered or journaled.
+func TestRefusedSubmissions(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "wal.ndjson")
+	j, _ := openJournal(t, wal)
+	s := New(Config{Journal: j})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	inst := testInstance(t)
+	wrapper, err := json.Marshal(map[string]any{
+		"flow": "proposed", "wait": true, "instance": json.RawMessage(inst),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, raw := postRun(t, ts.URL, "?flow=proposed&wait=1", wrapper); code != 400 {
+		t.Errorf("wrapper body = %d %.200s, want 400", code, raw)
+	}
+	for _, knob := range []string{"deadline_ms", "net_budget", "total_budget", "heat_win"} {
+		code, _, raw := postRun(t, ts.URL, "?flow=proposed&wait=1&"+knob+"=-1", inst)
+		if code != 400 || !strings.Contains(raw, knob) {
+			t.Errorf("negative %s = %d %.200s, want 400 naming the knob", knob, code, raw)
+		}
+	}
+	if _, body := getBody(t, ts.URL+"/runs"); strings.TrimSpace(body) != "[]" {
+		t.Errorf("refused submissions listed: %.200s", body)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, rep := openJournal(t, wal)
+	defer j2.Close()
+	if rep.Records != 0 {
+		t.Errorf("refused submissions journaled %d records", rep.Records)
 	}
 }
 
