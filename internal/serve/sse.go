@@ -202,12 +202,8 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "congestion telemetry disabled for this run", http.StatusNotFound)
 		return
 	}
-	frames := false
-	if v := r.URL.Query().Get("frames"); v == "1" || v == "true" {
-		frames = true
-	}
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, series.Report(frames))
+	writeJSON(w, series.Report(truthy(r.URL.Query().Get("frames"))))
 }
 
 // handleCongestionSVG renders the run's congestion series as an
